@@ -90,9 +90,11 @@ let locspec_of_location (loc : A.location) : string =
 
 (* --- the evaluation loop ----------------------------------------------------- *)
 
+(** The pipe as a stream file: each refill takes every byte that is
+    ready; the stream ends, for now, when none is. *)
 let drain_file (ep : Chan.endpoint) : V.file =
-  V.file_of_fun "%exprpipe" (fun () ->
-      if Chan.available ep > 0 then Some (Chan.recv_exactly ep 1).[0] else None)
+  V.file_of_stream "%exprpipe" (fun () ->
+      match Chan.available ep with 0 -> "" | n -> Chan.recv_exactly ep n)
 
 (** Evaluate [expr] in the context of [fr], returning (formatted value,
     type name). *)

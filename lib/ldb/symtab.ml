@@ -70,6 +70,10 @@ type t = {
                                      list append) *)
   mutable externs : (unit_info * V.dict) list;  (** per-unit externs, forced *)
   mutable lint_warnings_rev : string list;  (** findings kept under [`Warn] *)
+  mutable lint_env : Ldb_pscheck.Pscheck.env option;
+      (** what the debugger binds before a body runs: built by the first
+          check, each check runs against a copy, and dropped once every
+          unit is forced (long-lived tables keep nothing for pslint) *)
   (* lookup indexes, filled as units are forced *)
   by_name : (string, V.t) Hashtbl.t;
   by_label : (string, V.t) Hashtbl.t;
@@ -153,6 +157,7 @@ let make ~(interp : I.t) ~(symtab_dict : V.dict) : t =
     procs_rev = [];
     externs = [];
     lint_warnings_rev = [];
+    lint_env = None;
     by_name = Hashtbl.create 64;
     by_label = Hashtbl.create 64;
     by_line = Hashtbl.create 64;
@@ -245,17 +250,32 @@ let validity_at (entry : V.t) ~(stop_index : int) : validity option =
 
 (* --- forcing ----------------------------------------------------------------- *)
 
-(** Verify a deferred body before its first execution.  Bodies that are
-    already procedures were tokenized (and emit-time checked) by the
-    compiler, so only strings are re-verified here. *)
-let lint_body (st : t) ~file (body : V.t) =
-  match (!lint_mode, body.V.v) with
-  | `Off, _ | _, V.Arr _ -> ()
-  | mode, V.Str src -> (
-      let env = Ldb_pscheck.Pscheck.debugger_env () in
-      match
-        Ldb_pscheck.Pscheck.check_program ~env ~deep:true ~name:(file ^ ":pstab") src
-      with
+(** pslint's findings on the deferred body [src], from the interpreter's
+    scan of it (so checking does not scan the body a second time). *)
+let lint_findings (st : t) ~file src scanned =
+  let module P = Ldb_pscheck.Pscheck in
+  let name = file ^ ":pstab" in
+  match scanned with
+  | Ok sc ->
+      let env =
+        match st.lint_env with
+        | Some env -> env
+        | None ->
+            let env = P.debugger_env () in
+            st.lint_env <- Some env;
+            env
+      in
+      let tree = I.tree st.interp ~name:"%string" src sc in
+      P.check_nodes ~env:(P.copy_env env) ~deep:true ~name tree
+  | Error se -> [ P.syntax_finding ~name se ]
+
+(** Verify a deferred body before its first execution: [`Fail] refuses
+    a body with findings, [`Warn] records them. *)
+let lint_body (st : t) ~file src scanned =
+  match !lint_mode with
+  | `Off -> ()
+  | mode -> (
+      match lint_findings st ~file src scanned with
       | [] -> ()
       | fs ->
           let msgs = List.map Ldb_pscheck.Lattice.finding_to_string fs in
@@ -264,7 +284,6 @@ let lint_body (st : t) ~file (body : V.t) =
               (Error
                  (Printf.sprintf "unit %s fails pslint:\n%s" file (String.concat "\n" msgs)))
           else st.lint_warnings_rev <- List.rev_append msgs st.lint_warnings_rev)
-  | _, _ -> ()
 
 (** Decode a transfer-encoded body (LZW-compressed deferred string),
     memoizing the decoded text so retries and the tokenization cache see
@@ -318,9 +337,17 @@ let force_unit_info (st : t) (u : unit_info) =
     let saved_ostack = st.interp.I.ostack in
     match
       let body = decoded_body u in
-      lint_body st ~file:u.u_file body;
-      !force_hook u.u_file;
-      I.exec_value st.interp (V.cvx body);
+      (match body.V.v with
+      | V.Str src ->
+          (* one scan feeds both the check and the run; bodies that are
+             already procedures were checked when they were emitted *)
+          let scanned = I.scan_string st.interp ~name:"%string" src in
+          lint_body st ~file:u.u_file src scanned;
+          !force_hook u.u_file;
+          I.exec_scanned st.interp ~name:"%string" scanned
+      | _ ->
+          !force_hook u.u_file;
+          I.exec_value st.interp (V.cvx body));
       match I.lookup st.interp ("UNITRESULT$" ^ u.u_tag) with
       | Some r -> V.to_dict r
       | None -> raise (Error ("unit " ^ u.u_file ^ " did not define its result"))
@@ -337,6 +364,7 @@ let force_unit_info (st : t) (u : unit_info) =
         (match V.dict_get result "externs" with
         | Some e -> st.externs <- (u, V.to_dict e) :: st.externs
         | None -> ());
+        if List.for_all (fun u -> u.u_forced) st.units then st.lint_env <- None;
         index_unit st procs
     | exception e ->
         st.interp.I.ostack <- saved_ostack;

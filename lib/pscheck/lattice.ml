@@ -25,7 +25,7 @@ type konst =
   | KI of int
   | KS of string
   | KB of bool
-  | KP of Past.proc                     (** a procedure literal in the source *)
+  | KP of Ldb_pscript.Scan.proc         (** a procedure literal in the source *)
   | KSig of cls list * ty list
       (** an opaque procedure with a known signature (consumes top-first,
           produces in push order): how debugger-provided procedures such as
@@ -76,7 +76,7 @@ let konst_equal a b =
   | KI x, KI y -> x = y
   | KS x, KS y -> String.equal x y
   | KB x, KB y -> x = y
-  | KP x, KP y -> x.Past.proc_id = y.Past.proc_id
+  | KP x, KP y -> x.Ldb_pscript.Scan.proc_id = y.Ldb_pscript.Scan.proc_id
   | KSig (c1, p1), KSig (c2, p2) -> c1 = c2 && p1 = p2
   | _ -> false
 

@@ -63,8 +63,8 @@ type ctx = {
   file : string;
 }
 
-let report ctx kind (n : Past.node) msg =
-  let f = { kind; file = ctx.file; line = n.Past.line; col = n.Past.col; msg } in
+let report ctx kind (n : Scan.node) msg =
+  let f = { kind; file = ctx.file; line = n.Scan.line; col = n.Scan.col; msg } in
   let key = finding_to_string f in
   if not (Hashtbl.mem ctx.seen key) then begin
     Hashtbl.replace ctx.seen key ();
@@ -233,20 +233,20 @@ let lookup ctx name =
   in
   go ctx.scopes
 
-let rec run ctx (st : state) (nodes : Past.node list) : state =
+let rec run ctx (st : state) (nodes : Scan.node list) : state =
   List.fold_left
     (fun st n -> match st with Chaos | Diverged -> st | St _ -> exec_node ctx st n)
     st nodes
 
-and exec_node ctx (st : state) (n : Past.node) : state =
+and exec_node ctx (st : state) (n : Scan.node) : state =
   let s = match st with St s -> s | _ -> assert false in
-  match n.Past.it with
-  | Past.PInt k -> St (push { t = Int; c = Some (KI k) } s)
-  | Past.PReal _ -> St (push (of_ty Real) s)
-  | Past.PStr str -> St (push { t = Str; c = Some (KS str) } s)
-  | Past.PLitName nm -> St (push { t = Name; c = Some (KS nm) } s)
-  | Past.PProc p -> St (push { t = Proc; c = Some (KP p) } s)
-  | Past.PExecName nm -> exec_name ctx st n nm
+  match n.Scan.it with
+  | Scan.PInt k -> St (push { t = Int; c = Some (KI k) } s)
+  | Scan.PReal _ -> St (push (of_ty Real) s)
+  | Scan.PStr str -> St (push { t = Str; c = Some (KS str) } s)
+  | Scan.PLitName nm -> St (push { t = Name; c = Some (KS nm) } s)
+  | Scan.PProc p -> St (push { t = Proc; c = Some (KP p) } s)
+  | Scan.PExecName nm -> exec_name ctx st n nm
 
 and exec_name ctx st n name : state =
   match lookup ctx name with
@@ -281,12 +281,12 @@ and apply_sig ctx n name st consumes produces : state =
   St (List.fold_left (fun s t -> push (of_ty t) s) s produces)
 
 (** Inline a known procedure body at its (dynamic) call site. *)
-and inline ctx n st (p : Past.proc) : state =
-  if List.mem p.Past.proc_id ctx.inline_stack then Chaos
+and inline ctx n st (p : Scan.proc) : state =
+  if List.mem p.Scan.proc_id ctx.inline_stack then Chaos
   else begin
-    Hashtbl.replace ctx.analyzed p.Past.proc_id ();
-    ctx.inline_stack <- p.Past.proc_id :: ctx.inline_stack;
-    let r = run ctx st p.Past.body in
+    Hashtbl.replace ctx.analyzed p.Scan.proc_id ();
+    ctx.inline_stack <- p.Scan.proc_id :: ctx.inline_stack;
+    let r = run ctx st p.Scan.body in
     ctx.inline_stack <- List.tl ctx.inline_stack;
     ignore n;
     r
@@ -294,16 +294,16 @@ and inline ctx n st (p : Past.proc) : state =
 
 (** Analyze a stored procedure polymorphically: unknown caller stack, so
     only defects independent of the calling context are reported. *)
-and analyze_poly ctx (p : Past.proc) =
-  if not (Hashtbl.mem ctx.analyzed p.Past.proc_id) then begin
-    let dummy = { Past.it = Past.PProc p; line = 0; col = 0 } in
+and analyze_poly ctx (p : Scan.proc) =
+  if not (Hashtbl.mem ctx.analyzed p.Scan.proc_id) then begin
+    let dummy = { Scan.it = Scan.PProc p; line = 0; col = 0 } in
     ignore (inline ctx dummy poly_state p)
   end
 
 (** Loop fixpoint: iterate [body] from [st0], pushing [iter_push] per
     iteration, until the joined state is stable (or widen to chaos).  The
     result joins the invariant with every state captured at an [exit]. *)
-and run_loop ctx n st0 (p : Past.proc) ~(iter_push : ty list) ~(infinite : bool) : state =
+and run_loop ctx n st0 (p : Scan.proc) ~(iter_push : ty list) ~(infinite : bool) : state =
   let exits = ref [] in
   ctx.exit_collectors <- exits :: ctx.exit_collectors;
   let rec go st iters =
@@ -799,12 +799,24 @@ and key_const (k : av) : string option =
 
 (* --- entry points ----------------------------------------------------------- *)
 
-(** Check a program.  [deep] additionally analyzes, polymorphically, every
-    procedure literal that was stored but never executed during the
-    toplevel pass (symbol-table [where] clauses, printing procedures).
-    The environment accumulates definitions, so several sources can be
-    checked in sequence against one [env]. *)
-let check_program ?env ?(deep = false) ?(name = "%pslint") (src : string) : finding list =
+(** Every procedure literal in a program, outermost first. *)
+let all_procs (prog : Scan.node list) : Scan.proc list =
+  let acc = ref [] in
+  let rec node (n : Scan.node) = match n.it with PProc p -> proc p | _ -> ()
+  and proc (p : Scan.proc) =
+    acc := p :: !acc;
+    List.iter node p.body
+  in
+  List.iter node prog;
+  List.rev !acc
+
+(** Check a program already read into its positioned tree.  [deep]
+    additionally analyzes, polymorphically, every procedure literal that
+    was stored but never executed during the toplevel pass (symbol-table
+    [where] clauses, printing procedures).  The environment accumulates
+    definitions, so several sources can be checked in sequence against
+    one [env]. *)
+let check_nodes ?env ?(deep = false) ~name (prog : Scan.node list) : finding list =
   let env = match env with Some e -> e | None -> base_env () in
   let ctx =
     {
@@ -818,20 +830,21 @@ let check_program ?env ?(deep = false) ?(name = "%pslint") (src : string) : find
       file = name;
     }
   in
-  let f = Value.file_of_string name src in
-  (try
-     let prog = Past.parse_file f in
-     ignore (run ctx empty_state prog);
-     if deep then
-       List.iter (fun p -> analyze_poly ctx p) (Past.all_procs prog)
-   with Value.Error (err_name, detail) ->
-     let line, col = Value.file_token_pos f in
-     let fnd =
-       { kind = Syntax; file = name; line; col; msg = err_name ^ ": " ^ detail }
-     in
-     ctx.findings <- fnd :: ctx.findings);
+  ignore (run ctx empty_state prog);
+  if deep then List.iter (fun p -> analyze_poly ctx p) (all_procs prog);
   env.env_scopes <- ctx.scopes;
   List.rev ctx.findings
+
+(** The finding for a program the scanner rejected. *)
+let syntax_finding ~name (se : Ldb_pscript.Scan.syntax_error) : finding =
+  { kind = Syntax; file = name; line = se.err_line; col = se.err_col;
+    msg = se.error ^ ": " ^ se.detail }
+
+(** Read and check a program (see {!check_nodes}). *)
+let check_program ?env ?deep ?(name = "%pslint") (src : string) : finding list =
+  match Ldb_pscript.Scan.program (Value.file_of_string name src) with
+  | Ok prog -> check_nodes ?env ?deep ~name prog
+  | Error se -> [ syntax_finding ~name se ]
 
 (** Base + the shared prelude processed (its definitions in scope). *)
 let prelude_env () =
@@ -862,3 +875,7 @@ let debugger_env () =
   let env = prelude_env () in
   declare_debugger env;
   env
+
+(** An independent copy of [env]: checking against the copy leaves [env]
+    as it was (a check defines names into its scopes). *)
+let copy_env env = { env_scopes = List.map Hashtbl.copy env.env_scopes }

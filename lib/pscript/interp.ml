@@ -13,8 +13,19 @@ exception Exit_loop
 exception Quit
 
 type cached_program = (Value.t * int * int) array
-(** A string scanned once: top-level tokens (procedures already collected)
-    paired with the source position of each, for error annotation. *)
+(** An executable program: top-level objects (procedures already
+    collected) paired with the source position of each, for error
+    annotation. *)
+
+type scanned = { mutable form : form }
+(** A string scanned once, in the form it was last needed in. *)
+
+and form =
+  | Tree of Scan.node list  (** the positioned tree pslint checks *)
+  | Program of cached_program
+      (** what the first execution lowered the tree to; the tree is
+          dropped then, since cached trees would hold many small blocks
+          for the collector to mark for as long as the interpreter lives *)
 
 type t = {
   mutable ostack : Value.t list;
@@ -23,10 +34,9 @@ type t = {
   userdict : Value.dict;
   out : Buffer.t;        (** destination of print/Put *)
   pp : Pp.t;
-  mutable deferred_tokens : int;  (** statistics: tokens scanned lazily *)
   mutable registered : string list;  (** systemdict operator names, reverse registration order *)
-  progcache : (string, cached_program) Hashtbl.t;
-      (** tokenization cache: string body -> scanned program, so deferred
+  progcache : (string, scanned) Hashtbl.t;
+      (** tokenization cache: string body -> its scan, so deferred
           symbol-table bodies and repeated [run_string]s scan once *)
   mutable scan_hits : int;    (** statistics: cache hits *)
   mutable scan_misses : int;  (** statistics: strings actually scanned *)
@@ -48,7 +58,6 @@ let create_raw () =
     userdict;
     out;
     pp = Pp.create out;
-    deferred_tokens = 0;
     registered = [];
     progcache = Hashtbl.create 64;
     scan_hits = 0;
@@ -176,59 +185,19 @@ and exec_token t f (tok : Scan.token) =
   | Scan.TStr s -> push t (str s)
   | Scan.TName (n, true) -> push t (name_lit n)
   | Scan.TName (n, false) -> exec_value t (name_exec n)
-  | Scan.TProcStart -> push t (collect_proc t f)
+  | Scan.TProcStart -> push t (proc (Array.of_list (List.map value_of_node (Scan.proc_body f))))
   | Scan.TProcEnd -> err "syntaxerror" "unmatched }"
 
-(** Build a procedure object from tokens up to the matching [}]. *)
-and collect_proc t f : Value.t =
-  let items = ref [] in
-  let rec go () =
-    match Scan.token f with
-    | Scan.TEof -> err "syntaxerror" "unterminated procedure"
-    | Scan.TProcEnd -> ()
-    | Scan.TProcStart ->
-        items := collect_proc t f :: !items;
-        go ()
-    | Scan.TNum v ->
-        items := v :: !items;
-        go ()
-    | Scan.TStr s ->
-        items := str s :: !items;
-        go ()
-    | Scan.TName (n, true) ->
-        items := name_lit n :: !items;
-        go ()
-    | Scan.TName (n, false) ->
-        items := name_exec n :: !items;
-        go ()
-  in
-  go ();
-  proc (Array.of_list (List.rev !items))
-
-(** Scan a whole string into its top-level token sequence, collecting
-    procedures, without executing anything.  Each token keeps the position
-    of its first character for later error annotation. *)
-and scan_program t (f : Value.file) : cached_program =
-  let items = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match Scan.token f with
-    | Scan.TEof -> continue_ := false
-    | tok ->
-        let line, col = Value.file_token_pos f in
-        let v =
-          match tok with
-          | Scan.TEof -> assert false
-          | Scan.TNum v -> v
-          | Scan.TStr s -> str s
-          | Scan.TName (n, true) -> name_lit n
-          | Scan.TName (n, false) -> name_exec n
-          | Scan.TProcStart -> collect_proc t f
-          | Scan.TProcEnd -> err "syntaxerror" "unmatched }"
-        in
-        items := (v, line, col) :: !items
-  done;
-  Array.of_list (List.rev !items)
+(** The object a scanned node denotes; procedures become executable
+    arrays. *)
+and value_of_node (n : Scan.node) : Value.t =
+  match n.Scan.it with
+  | Scan.PInt i -> int i
+  | Scan.PReal r -> real r
+  | Scan.PStr s -> str s
+  | Scan.PLitName s -> name_lit s
+  | Scan.PExecName s -> name_exec s
+  | Scan.PProc p -> proc (Array.of_list (List.map value_of_node p.Scan.body))
 
 (** Execute a scanned program, annotating errors with the recorded token
     positions (the same annotation [run_file] produces while scanning). *)
@@ -243,34 +212,58 @@ and exec_program t ~(name : string) (prog : cached_program) =
         raise (Error (en, Printf.sprintf "%s [%s:%d:%d]" detail name line col)))
     prog
 
-(** The tokenization cache: scan [s] once and reuse the token array across
-    re-executions (deferred unit bodies, repeated [run_string]s). *)
-and program_of_string t ~(name : string) (s : string) : cached_program =
+(** The tokenization cache: scan [s] once and reuse its tree and program
+    across re-executions (deferred unit bodies, repeated [run_string]s).
+    A syntax error is returned, not cached. *)
+and scan_string t ~(name : string) (s : string) : (scanned, Scan.syntax_error) result =
   match Hashtbl.find_opt t.progcache s with
-  | Some p ->
+  | Some e ->
       t.scan_hits <- t.scan_hits + 1;
-      p
-  | None ->
+      Ok e
+  | None -> (
       t.scan_misses <- t.scan_misses + 1;
-      let p = scan_program t (file_of_string name s) in
-      if Hashtbl.length t.progcache >= progcache_limit then Hashtbl.reset t.progcache;
-      Hashtbl.replace t.progcache s p;
-      t.deferred_tokens <- t.deferred_tokens + Array.length p;
-      p
+      match Scan.program (file_of_string name s) with
+      | Stdlib.Error _ as e -> e
+      | Ok tree ->
+          let e = { form = Tree tree } in
+          if Hashtbl.length t.progcache >= progcache_limit then Hashtbl.reset t.progcache;
+          Hashtbl.replace t.progcache s e;
+          Ok e)
 
-and exec_string t (name : string) (s : string) =
-  exec_program t ~name (program_of_string t ~name s)
+(** Execute the result of {!scan_string}: a syntax error is raised now,
+    as the interpreter's own [syntaxerror]. *)
+and exec_scanned t ~(name : string) = function
+  | Ok e ->
+      let prog =
+        match e.form with
+        | Program p -> p
+        | Tree tree ->
+            let lower (n : Scan.node) = (value_of_node n, n.Scan.line, n.Scan.col) in
+            let p = Array.of_list (List.map lower tree) in
+            e.form <- Program p;
+            p
+      in
+      exec_program t ~name prog
+  | Stdlib.Error (se : Scan.syntax_error) -> err se.Scan.error se.Scan.detail
+
+and exec_string t (name : string) (s : string) = exec_scanned t ~name (scan_string t ~name s)
 
 let run_string t (s : string) = exec_string t "%string" s
 
+(** The positioned tree of [s], given its entry [e] from {!scan_string}:
+    the cached tree until [s] first runs, a fresh scan (counted as a
+    miss) after that. *)
+let tree t ~(name : string) (s : string) (e : scanned) : Scan.node list =
+  match e.form with
+  | Tree tree -> tree
+  | Program _ -> (
+      t.scan_misses <- t.scan_misses + 1;
+      match Scan.program (file_of_string name s) with
+      | Ok tree -> tree
+      | Stdlib.Error _ -> assert false (* [s] scanned cleanly before *))
+
 (** Tokenization-cache statistics: (hits, misses). *)
 let scan_stats t = (t.scan_hits, t.scan_misses)
-
-(** Execute [s] and return everything printed during its execution. *)
-let run_capture t (s : string) =
-  let before = Buffer.length t.out in
-  run_string t s;
-  Buffer.sub t.out before (Buffer.length t.out - before)
 
 (** Drain accumulated print output. *)
 let take_output t =

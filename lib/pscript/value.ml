@@ -5,7 +5,7 @@
     (for compatibility with the host language's strings); there are no
     save/restore operators (the host garbage collector reclaims memory);
     there are no substrings or subarrays; interpreter errors raise host
-    exceptions; files are readers or writers.
+    exceptions; files are read-only: a string and a cursor into it.
 
     Every object carries an attribute telling explicitly whether it is
     literal or executable. *)
@@ -31,13 +31,13 @@ and payload =
 and dict = { tbl : (string, t) Hashtbl.t; mutable access_note : string }
 
 and file = {
-  read_char : unit -> char option;  (** None at end of stream *)
-  mutable pushback : char option;
+  mutable buf : string;     (** input in hand; [buf.[pos..]] is unread *)
+  mutable pos : int;
+  refill : unit -> string;  (** next chunk of a stream; [""] when none is ready *)
   file_name : string;
-  mutable line : int;       (** 1-based line of the next character *)
-  mutable col : int;        (** 1-based column of the next character *)
-  mutable prev_line : int;  (** position before the last [file_getc] *)
-  mutable prev_col : int;
+  mutable line : int;       (** 1-based line of the character at [pos] *)
+  mutable bol : int;        (** index in [buf] where that line starts; negative
+                                once the start has scrolled out of [buf] *)
   mutable tok_line : int;   (** position of the last token's first character *)
   mutable tok_col : int;
 }
@@ -230,45 +230,37 @@ and escape_char c =
 
 (* --- files --------------------------------------------------------------- *)
 
-let file_of_fun name read_char : file =
-  { read_char; pushback = None; file_name = name;
-    line = 1; col = 1; prev_line = 1; prev_col = 1; tok_line = 1; tok_col = 1 }
+(* A file is a string and a cursor into it.  A string file holds all of
+   its text from the start; a stream file (the expression-server pipe)
+   starts empty and appends whatever its [refill] returns whenever the
+   scanner runs off the end.  The column of the cursor is [pos - bol + 1]:
+   only newlines touch the line bookkeeping. *)
+
+let no_more () = ""
 
 let file_of_string name s : file =
-  let pos = ref 0 in
-  file_of_fun name (fun () ->
-      if !pos >= String.length s then None
-      else begin
-        let c = s.[!pos] in
-        incr pos;
-        Some c
-      end)
+  { buf = s; pos = 0; refill = no_more; file_name = name;
+    line = 1; bol = 0; tok_line = 1; tok_col = 1 }
 
-let file_getc f =
-  let c =
-    match f.pushback with
-    | Some c ->
-        f.pushback <- None;
-        Some c
-    | None -> f.read_char ()
-  in
-  (match c with
-  | Some c ->
-      f.prev_line <- f.line;
-      f.prev_col <- f.col;
-      if c = '\n' then begin
-        f.line <- f.line + 1;
-        f.col <- 1
-      end
-      else f.col <- f.col + 1
-  | None -> ());
-  c
+let file_of_stream name refill : file = { (file_of_string name "") with refill }
 
-let file_ungetc f c =
-  assert (f.pushback = None);
-  f.pushback <- Some c;
-  f.line <- f.prev_line;
-  f.col <- f.prev_col
+(** Append the stream's next chunk, dropping the text before index [from]
+    (indexes into [buf] shift down by [from]).  False when no more input
+    is ready. *)
+let file_refill f ~from =
+  match f.refill () with
+  | "" -> false
+  | chunk ->
+      let keep = String.length f.buf - from in
+      f.buf <- (if keep = 0 then chunk else String.sub f.buf from keep ^ chunk);
+      f.pos <- f.pos - from;
+      f.bol <- f.bol - from;
+      true
+
+(** Record that the character at index [i] of [buf] is a newline. *)
+let file_newline f i =
+  f.line <- f.line + 1;
+  f.bol <- i + 1
 
 (** Position (line, column) where the most recent token started. *)
 let file_token_pos f = (f.tok_line, f.tok_col)

@@ -127,6 +127,58 @@ let test_server_state_lifecycle () =
   Alcotest.(check bool) "struct types kept" true
     (Hashtbl.mem ctx.sess.Eval.server.Exprserver.structs "point")
 
+(* --- the pipe as a chunked stream ---------------------------------------------- *)
+
+module Chan = Ldb_nub.Chan
+module Scan = Ldb_pscript.Scan
+
+let drain_tokens (f : Ldb_pscript.Value.file) =
+  let rec go acc =
+    match Scan.token f with
+    | Scan.TEof -> List.rev acc
+    | Scan.TName (n, _) -> go (n :: acc)
+    | Scan.TStr s -> go (("(" ^ s ^ ")") :: acc)
+    | Scan.TNum v -> go (Ldb_pscript.Value.to_text v :: acc)
+    | Scan.TProcStart -> go ("{" :: acc)
+    | Scan.TProcEnd -> go ("}" :: acc)
+  in
+  go []
+
+let test_pipe_chunks () =
+  let ldb_end, srv_end = Chan.pair () in
+  (* a reply written in two pieces, cut inside a name, before ldb drains *)
+  Chan.send srv_end "(int) ExpressionServer.re";
+  Chan.send srv_end "sult\n";
+  let f = Eval.drain_file ldb_end in
+  (match Scan.token f with
+  | Scan.TStr "int" -> ()
+  | _ -> Alcotest.fail "expected (int)");
+  check Alcotest.int "the first refill took everything ready" 0 (Chan.available ldb_end);
+  check Alcotest.(list string) "the name cut in two reads whole"
+    [ "ExpressionServer.result" ] (drain_tokens f);
+  (* the stream ends when nothing is ready, and resumes when more is *)
+  Chan.send srv_end "3 mul\n";
+  check Alcotest.(list string) "resumes" [ "3"; "mul" ] (drain_tokens f)
+
+let test_replies_in_two_pieces () =
+  let exprs = [ "n"; "n * scale + table[2]"; "p.x * p.y"; "ip"; "gv - n" ] in
+  let plain = make_ctx Mips in
+  let want = List.map (evt plain) exprs in
+  (* every message from the server reaches the pipe as two deliveries,
+     cut at a different place each time *)
+  let ctx = make_ctx Mips in
+  let ep = ctx.sess.Eval.server.Exprserver.ep in
+  let cut = ref 0 in
+  Chan.set_on_send ep
+    (Some
+       (fun msg ->
+         incr cut;
+         let k = min (String.length msg) (!cut mod 7 * 3) in
+         Chan.deliver ep (String.sub msg 0 k);
+         Chan.deliver ep (String.sub msg k (String.length msg - k))));
+  let got = List.map (evt ctx) exprs in
+  check Alcotest.(list (pair string string)) "split replies evaluate identically" want got
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -137,6 +189,9 @@ let () =
           case "types" test_types_reported;
           case "assignment" test_assignment_through_server;
           case "sizeof and casts" test_sizeof_and_casts ] );
+      ( "pipe",
+        [ case "chunked refills" test_pipe_chunks;
+          case "replies delivered in two pieces" test_replies_in_two_pieces ] );
       ( "protocol",
         [ case "errors" test_errors; case "server state lifecycle" test_server_state_lifecycle ] );
     ]

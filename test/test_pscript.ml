@@ -330,6 +330,240 @@ let test_error_positions () =
       if not has_pos then Alcotest.failf "expected line 2 col 7 in %S" detail
   | _ -> Alcotest.fail "typecheck expected"
 
+
+(* --- the scanner against the closure-based oracle ------------------------ *)
+
+module Scan = Ldb_pscript.Scan
+
+let float_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let token_equal (a : Scan.token) (b : Scan.token) =
+  match (a, b) with
+  | TNum { v = Int x; _ }, TNum { v = Int y; _ } -> x = y
+  | TNum { v = Real x; _ }, TNum { v = Real y; _ } -> float_equal x y
+  | TNum _, _ | _, TNum _ -> false
+  | _ -> a = b
+
+let show_token = function
+  | Scan.TNum v -> V.type_name v ^ " " ^ V.to_text v
+  | TStr s -> Printf.sprintf "string %S" s
+  | TName (n, lit) -> Printf.sprintf "%s %S" (if lit then "literal" else "name") n
+  | TProcStart -> "{"
+  | TProcEnd -> "}"
+  | TEof -> "eof"
+
+(** A scan to the end: every token with its position, then how it ended
+    (end of input or the error, each with the recorded position). *)
+type scan_result = { toks : (Scan.token * (int * int)) list; ending : string }
+
+let scan_all next pos =
+  let rec go acc =
+    let at () = let l, c = pos () in Printf.sprintf "@%d:%d" l c in
+    match next () with
+    | Scan.TEof -> { toks = List.rev acc; ending = "eof " ^ at () }
+    | t -> go ((t, pos ()) :: acc)
+    | exception V.Error (e, d) -> { toks = List.rev acc; ending = Printf.sprintf "%s: %s %s" e d (at ()) }
+  in
+  go []
+
+let oracle_scan text =
+  let f = Oldscan.file_of_string "t" text in
+  scan_all (fun () -> Oldscan.token f) (fun () -> Oldscan.file_token_pos f)
+
+let file_scan (f : V.file) = scan_all (fun () -> Scan.token f) (fun () -> V.file_token_pos f)
+
+(** A stream file handing out [text] in chunks whose sizes come from
+    [sizes] (cycled; every chunk is non-empty). *)
+let chunked_file text sizes =
+  let pos = ref 0 and k = ref 0 in
+  V.file_of_stream "t" (fun () ->
+      if !pos >= String.length text then ""
+      else begin
+        let n = min (max 1 sizes.(!k mod Array.length sizes)) (String.length text - !pos) in
+        incr k;
+        let c = String.sub text !pos n in
+        pos := !pos + n;
+        c
+      end)
+
+(** The first difference between two scans, if any. *)
+let scan_diff (want : scan_result) (got : scan_result) : string option =
+  let rec go i = function
+    | (t1, p1) :: r1, (t2, p2) :: r2 ->
+        if token_equal t1 t2 && p1 = p2 then go (i + 1) (r1, r2)
+        else
+          Some
+            (Printf.sprintf "token %d: want %s @%d:%d, got %s @%d:%d" i (show_token t1) (fst p1)
+               (snd p1) (show_token t2) (fst p2) (snd p2))
+    | [], [] -> if want.ending = got.ending then None else Some (Printf.sprintf "ending: want %s, got %s" want.ending got.ending)
+    | (t, _) :: _, [] -> Some (Printf.sprintf "token %d: want %s, got the end (%s)" i (show_token t) got.ending)
+    | [], (t, _) :: _ -> Some (Printf.sprintf "token %d: want the end (%s), got %s" i want.ending (show_token t))
+  in
+  go 0 (want.toks, got.toks)
+
+let rec node_equal (a : Scan.node) (b : Scan.node) =
+  a.line = b.line && a.col = b.col
+  &&
+  match (a.it, b.it) with
+  | PReal x, PReal y -> float_equal x y
+  | PProc p, PProc q ->
+      p.proc_id = q.proc_id && List.length p.body = List.length q.body
+      && List.for_all2 node_equal p.body q.body
+  | x, y -> x = y
+
+(** The positioned tree read from [text], against the oracle's reader. *)
+let tree_agrees text =
+  let old =
+    let f = Oldscan.file_of_string "t" text in
+    match Oldscan.parse_file f with
+    | nodes -> Ok nodes
+    | exception V.Error (e, d) -> Error (e, d, Oldscan.file_token_pos f)
+  in
+  match (old, Scan.program (V.file_of_string "t" text)) with
+  | Ok a, Ok b -> List.length a = List.length b && List.for_all2 node_equal a b
+  | Error (e, d, pos), Error se -> (e, d, pos) = (se.error, se.detail, (se.err_line, se.err_col))
+  | _ -> false
+
+(** Every check of one text: string file, chunked stream, tree. *)
+let agrees ?(sizes = [| 1; 2; 3; 5; 7; 64 |]) text =
+  let want = oracle_scan text in
+  match scan_diff want (file_scan (V.file_of_string "t" text)) with
+  | Some d -> Error ("string file: " ^ d)
+  | None -> (
+      match scan_diff want (file_scan (chunked_file text sizes)) with
+      | Some d -> Error ("chunked stream: " ^ d)
+      | None -> if tree_agrees text then Ok () else Error "positioned tree differs")
+
+(** Token soup: every token class, well-formed and malformed, glued with
+    every kind of blank or with nothing at all. *)
+let gen_soup : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let chars s = oneofl (List.init (String.length s) (String.get s)) in
+  let word = string_size ~gen:(chars "abzXYZ&$_.<>=!?*-+#019eEnNiI@^|~:;,'\"`\011\200") (int_range 1 6) in
+  let number =
+    oneofl
+      [ "42"; "-7"; "+5"; "0"; "007"; "-0"; "1.5"; "-.5"; "."; "1e5"; "2E-3"; "1e"; "16#ff";
+        "16#FF"; "2#101"; "37#1"; "2#"; "8#9"; "0x1F"; "0b11"; "0o7"; "0u5"; "1_000"; "_1.5";
+        "nan"; "inf"; "Infinity"; "NaN"; "-nan"; "1.5e300"; "99999999999999999999";
+        "123456789012345678"; "1234567890123456789"; "-123456789012345678" ]
+  in
+  let escape =
+    oneofl
+      [ "\\n"; "\\t"; "\\r"; "\\b"; "\\f"; "\\("; "\\)"; "\\\\"; "\\0"; "\\12"; "\\123";
+        "\\1234"; "\\8"; "\\\n"; "\\q"; "\\777"; "\\" ]
+  in
+  let rec body depth =
+    let flat = [ (4, word); (3, escape); (1, return "\n"); (1, return " "); (1, return "%") ] in
+    let pieces =
+      if depth = 0 then flat else (1, map (fun b -> "(" ^ b ^ ")") (body (depth - 1))) :: flat
+    in
+    map (String.concat "") (list_size (int_range 0 6) (frequency pieces))
+  in
+  let str = map2 (fun b closed -> "(" ^ b ^ if closed then ")" else "") (body 2) (frequency [ (9, return true); (1, return false) ]) in
+  let token =
+    frequency
+      [ (5, word); (4, number); (2, map (fun w -> "/" ^ w) word); (4, str);
+        (1, oneofl [ "/"; "//x"; "<<"; ">>"; "<"; ">"; "<x"; ">x"; "["; "]"; "{"; "}"; ")" ]);
+        (1, map (fun w -> "%" ^ w ^ "\n") word); (1, map (fun w -> "%" ^ w) word);
+        (1, map (String.make 1) char) ]
+  in
+  let sep = oneofl [ " "; "\n"; "\t"; "\r"; "\012"; "\000"; ""; "\r\n"; "  " ] in
+  map (String.concat "") (list_size (int_range 0 40) (map2 ( ^ ) token sep))
+
+let arb_soup = QCheck.make ~print:(Printf.sprintf "%S") gen_soup
+
+let prop_scanner_matches_oracle =
+  QCheck.Test.make ~count:600 ~name:"scanner = oracle on token soup" arb_soup (fun text ->
+      match agrees text with Ok () -> true | Error d -> QCheck.Test.fail_report d)
+
+let prop_chunked_stream =
+  QCheck.Test.make ~count:300 ~name:"random chunking reads the same tokens"
+    QCheck.(pair arb_soup (array_of_size Gen.(int_range 1 5) (int_range 1 9)))
+    (fun (text, sizes) ->
+      match agrees ~sizes text with Ok () -> true | Error d -> QCheck.Test.fail_report d)
+
+(** The PostScript the debugger really reads: the prelude, the
+    machine-dependent code, and an emitted loader table (plain and
+    LZW-compressed bodies) per target, each deferred body included. *)
+let test_real_sources () =
+  let expect_agree name text =
+    match agrees text with Ok () -> () | Error d -> Alcotest.failf "%s: %s" name d
+  in
+  expect_agree "prelude" Ldb_pscript.Prelude.source;
+  List.iter
+    (fun arch ->
+      let an = Ldb_machine.Arch.name arch in
+      expect_agree ("mdep " ^ an) (Ldb_ldb.Mdep_ps.source arch);
+      List.iter
+        (fun compress ->
+          let _, loader = Ldb_link.Driver.build ~compress ~arch [ ("fib.c", Testkit.fib_c) ] in
+          let name = Printf.sprintf "loader %s%s" an (if compress then " lzw" else "") in
+          expect_agree name loader;
+          List.iter
+            (fun ((t : Scan.token), _) ->
+              match t with
+              | TStr body when String.length body > 200 -> expect_agree (name ^ " body") body
+              | _ -> ())
+            (oracle_scan loader).toks)
+        [ false; true ])
+    Ldb_machine.Arch.all
+
+(* --- word classification ------------------------------------------------- *)
+
+let test_classify_edges () =
+  List.iter
+    (fun w ->
+      let want = Oldscan.classify w and got = Scan.classify w in
+      if not (token_equal want got) then
+        Alcotest.failf "%S: want %s, got %s" w (show_token want) (show_token got))
+    [ "nan"; "inf"; "Infinity"; "NaN"; "e"; "E1"; "1e5"; "-.5"; "."; "+5"; "1_000"; "_1.5";
+      "0x1F"; "0b11"; "0o7"; "0u5"; "16#ff"; "37#1"; "2#"; "&elemsize"; "-"; "+"; "-0"; "007";
+      "123456789012345678"; "1234567890123456789"; "-123456789012345678";
+      "99999999999999999999"; "0x7fffffffffffffff"; "1.5e300"; "1e400"; "-nan"; "\0111.5";
+      "infinity"; "nan.5"; "_"; "__1"; "1__0"; "8#9"; "36#zz"; "1#1"; "0#0"; "-16#ff" ]
+
+let prop_classify =
+  QCheck.Test.make ~count:2000 ~name:"fast classify = old classify"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          string_size
+            ~gen:(oneofl (List.init 34 (String.get "0123456789+-._eEiInNaAfFxXoObBuU#z")))
+            (int_range 1 8)))
+    (fun w -> token_equal (Oldscan.classify w) (Scan.classify w))
+
+(* --- one scan per forced unit ------------------------------------------------ *)
+
+let test_force_scans_once () =
+  let aux_c = "int aux(int x)\n{\n    return x + 1;\n}\n" in
+  let s =
+    Testkit.debug_session ~arch:Ldb_machine.Arch.Mips [ ("fib.c", Testkit.fib_c); ("aux.c", aux_c) ]
+  in
+  let interp = s.Testkit.d.Ldb_ldb.Ldb.interp in
+  check Alcotest.(list string) "attach forces nothing" []
+    (Ldb_ldb.Symtab.forced_units s.Testkit.tg.Ldb_ldb.Ldb.tg_symtab);
+  let hits0, misses0 = I.scan_stats interp in
+  (* the default lint mode deep-checks the body before it runs *)
+  Ldb_ldb.Ldb.force_unit s.Testkit.d s.Testkit.tg ~file:"aux.c";
+  let hits1, misses1 = I.scan_stats interp in
+  check Alcotest.int "one scan of the body" (misses0 + 1) misses1;
+  check Alcotest.int "checked and run from that scan" hits0 hits1
+
+let test_tree_after_run () =
+  (* running a string lowers its cached tree and drops it; asking for the
+     tree again scans afresh, and gets the same tree *)
+  let t = Ps.create () in
+  let src = "/sq { dup mul } def 3 sq" in
+  let e = match I.scan_string t ~name:"%string" src with Ok e -> e | Error _ -> assert false in
+  let before = I.tree t ~name:"%string" src e in
+  I.exec_scanned t ~name:"%string" (Ok e);
+  check Alcotest.string "ran" "9" (V.to_text (I.pop t));
+  let _, misses = I.scan_stats t in
+  let after = I.tree t ~name:"%string" src e in
+  check Alcotest.int "rescanned" (misses + 1) (snd (I.scan_stats t));
+  if not (List.length before = List.length after && List.for_all2 node_equal before after) then
+    Alcotest.fail "the fresh tree differs"
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -365,4 +599,12 @@ let () =
           case "duplicate registration" test_duplicate_registration;
           case "registered ops" test_registered_ops;
           case "error positions" test_error_positions ] );
+      ( "scanner oracle",
+        [ QCheck_alcotest.to_alcotest prop_scanner_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_chunked_stream;
+          case "prelude, mdep and loader tables" test_real_sources;
+          case "classify edge words" test_classify_edges;
+          QCheck_alcotest.to_alcotest prop_classify;
+          case "one scan per forced unit" test_force_scans_once;
+          case "tree after the first run" test_tree_after_run ] );
     ]

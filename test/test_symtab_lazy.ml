@@ -328,6 +328,33 @@ let test_compressed_sessions () =
         [ "x"; "aglobal" ])
     Arch.all
 
+(* --- pslint environment ------------------------------------------------------ *)
+
+(* the debugger environment is built once per symbol table; each unit is
+   checked against a copy of it, so what one body defines cannot leak into
+   the check of the next *)
+let test_lint_env_per_unit () =
+  let module P = Ldb_pscheck.Pscheck in
+  let interp = Ldb_pscript.Ps.create () in
+  I.run_string interp "/st << /architecture (mips) >> def";
+  let st = Symtab.make ~interp ~symtab_dict:(V.to_dict (I.lookup_exn interp "st")) in
+  let a = "/helper (text) def /n 1 def" and b = "helper 1 add n exch" in
+  let strings = List.map Ldb_pscheck.Lattice.finding_to_string in
+  let lint file src =
+    strings (Symtab.lint_findings st ~file src (I.scan_string interp ~name:"%string" src))
+  in
+  let fresh file src =
+    strings (P.check_program ~env:(P.debugger_env ()) ~deep:true ~name:(file ^ ":pstab") src)
+  in
+  let want = (fresh "a.c" a, fresh "b.c" b) in
+  if snd want = [] then Alcotest.fail "b.c must need a.c's definitions to be clean";
+  let fa = lint "a.c" a in
+  let fb = lint "b.c" b in
+  check Alcotest.(pair (list string) (list string)) "A then B" want (fa, fb);
+  let fb = lint "b.c" b in
+  let fa = lint "a.c" a in
+  check Alcotest.(pair (list string) (list string)) "B then A" want (fa, fb)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -343,4 +370,5 @@ let () =
           case "quarantine routes around" test_quarantine_routes_around;
           case "many units" test_many_units ] );
       ("compression", [ case "compressed sessions" test_compressed_sessions ]);
+      ("lint", [ case "environment copied per unit" test_lint_env_per_unit ]);
     ]
