@@ -38,10 +38,7 @@ let absolute space offset = Absolute { space; offset }
 (** A fresh immediate cell of [width] bytes, initially zero. *)
 let immediate width = Immediate (Bytes.make width '\000')
 
-let immediate_i32 (v : int32) =
-  let b = Bytes.make 4 '\000' in
-  Endian.set_u32 Little b 0 v;
-  Immediate b
+let immediate_i32 (v : int32) = Immediate (Bytes.of_string (Codec.int32_le v))
 
 let pp_location ppf = function
   | Absolute { space; offset } -> Fmt.pf ppf "%c:%#x" space offset
@@ -76,48 +73,19 @@ let store m loc (bytes_ : string) =
 
 (* --- typed accessors (canonical little-endian) ------------------------- *)
 
-let decode_int s =
-  let v = ref 0 in
-  for i = String.length s - 1 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[i]
-  done;
-  !v
-
-let encode_int v n = String.init n (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
-
-let fetch_u8 m loc = decode_int (fetch m loc ~size:1)
-let fetch_i8 m loc = Endian.sext (fetch_u8 m loc) 8
-let fetch_u16 m loc = decode_int (fetch m loc ~size:2)
-let fetch_i16 m loc = Endian.sext (fetch_u16 m loc) 16
-
-let fetch_i32 m loc : int32 =
-  Endian.get_u32 Little (Bytes.of_string (fetch m loc ~size:4)) 0
-
-let store_u8 m loc v = store m loc (encode_int v 1)
-let store_u16 m loc v = store m loc (encode_int v 2)
-
-let store_i32 m loc (v : int32) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 v;
-  store m loc (Bytes.to_string b)
-
-let fetch_f32 m loc =
-  Int32.float_of_bits (Endian.get_u32 Little (Bytes.of_string (fetch m loc ~size:4)) 0)
-
-let fetch_f64 m loc =
-  Int64.float_of_bits (Endian.get_u64 Little (Bytes.of_string (fetch m loc ~size:8)) 0)
-
+let fetch_u8 m loc = String.get_uint8 (fetch m loc ~size:1) 0
+let fetch_i8 m loc = String.get_int8 (fetch m loc ~size:1) 0
+let fetch_u16 m loc = String.get_uint16_le (fetch m loc ~size:2) 0
+let fetch_i16 m loc = String.get_int16_le (fetch m loc ~size:2) 0
+let fetch_i32 m loc = String.get_int32_le (fetch m loc ~size:4) 0
+let store_u8 m loc v = store m loc (String.make 1 (Char.chr (v land 0xff)))
+let store_u16 m loc v = store m loc (Codec.u16_le v)
+let store_i32 m loc v = store m loc (Codec.int32_le v)
+let fetch_f32 m loc = Int32.float_of_bits (fetch_i32 m loc)
+let fetch_f64 m loc = Int64.float_of_bits (String.get_int64_le (fetch m loc ~size:8) 0)
 let fetch_f80 m loc = Ldb_machine.Float80.of_bytes (fetch m loc ~size:10)
-
-let store_f32 m loc v =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 (Int32.bits_of_float v);
-  store m loc (Bytes.to_string b)
-
-let store_f64 m loc v =
-  let b = Bytes.create 8 in
-  Endian.set_u64 Little b 0 (Int64.bits_of_float v);
-  store m loc (Bytes.to_string b)
+let store_f32 m loc v = store_i32 m loc (Int32.bits_of_float v)
+let store_f64 m loc v = store m loc (Codec.int64_le (Int64.bits_of_float v))
 
 let store_f80 m loc v = store m loc (Ldb_machine.Float80.to_bytes v)
 
@@ -228,21 +196,15 @@ let register ~(spaces : (char * reg_kind) list) (under : t) : t =
   let kind space = List.assoc_opt space spaces in
   let float_of_bytes s =
     match String.length s with
-    | 4 -> Int32.float_of_bits (Endian.get_u32 Little (Bytes.of_string s) 0)
-    | 8 -> Int64.float_of_bits (Endian.get_u64 Little (Bytes.of_string s) 0)
+    | 4 -> Int32.float_of_bits (String.get_int32_le s 0)
+    | 8 -> Int64.float_of_bits (String.get_int64_le s 0)
     | 10 -> Ldb_machine.Float80.of_bytes s
     | n -> fail "register: bad float width %d" n
   in
   let bytes_of_float v n =
     match n with
-    | 4 ->
-        let b = Bytes.create 4 in
-        Endian.set_u32 Little b 0 (Int32.bits_of_float v);
-        Bytes.to_string b
-    | 8 ->
-        let b = Bytes.create 8 in
-        Endian.set_u64 Little b 0 (Int64.bits_of_float v);
-        Bytes.to_string b
+    | 4 -> Codec.int32_le (Int32.bits_of_float v)
+    | 8 -> Codec.int64_le (Int64.bits_of_float v)
     | 10 -> Ldb_machine.Float80.to_bytes v
     | n -> fail "register: bad float width %d" n
   in

@@ -82,14 +82,3 @@ let text_size (target : Target.t) items =
       | Ins i | InsR (i, _, _) -> n + Target.insn_length target i
       | Label _ -> n)
     0 items
-
-let data_size items =
-  (* alignment is resolved during layout; here we compute the worst case *)
-  List.fold_left
-    (fun n -> function
-      | Dlabel _ -> n
-      | Dword _ | Dwordsym _ -> n + 4
-      | Dbytes s -> n + String.length s
-      | Dspace k -> n + k
-      | Dalign a -> n + a - 1)
-    0 items

@@ -159,9 +159,8 @@ let reachable (g : cfg) : bool array =
     must-analyses. *)
 type 'a lattice = { join : 'a -> 'a -> 'a; equal : 'a -> 'a -> bool }
 
-(** Bit-mask lattices over the tracked-variable universe. *)
+(** The bit-mask lattice over the tracked-variable universe. *)
 let may_mask : int lattice = { join = ( lor ); equal = Int.equal }
-let must_mask : int lattice = { join = ( land ); equal = Int.equal }
 
 (** Forward solve to fixpoint.  Returns the state {e entering} each
     statement; [None] means the statement is not reachable from entry, so

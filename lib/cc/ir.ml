@@ -39,9 +39,6 @@ let of_ctype (arch : Ldb_machine.Arch.t) (t : Ctype.t) : ty =
 type binop = Add | Sub | Mul | Div | Rem | Band | Bor | Bxor | Shl | Shr
 type relop = Req | Rne | Rlt | Rle | Rgt | Rge
 
-let negate_rel = function
-  | Req -> Rne | Rne -> Req | Rlt -> Rge | Rge -> Rlt | Rle -> Rgt | Rgt -> Rle
-
 type exp =
   | Cnst of ty * int32
   | Cnstf of float                       (** floating constant, computed as F8 *)
@@ -118,16 +115,6 @@ let rec pp_exp ppf = function
       Fmt.pf ppf "CALLI%s(%a%a)" (ty_name t) pp_exp f
         (fun ppf -> List.iter (Fmt.pf ppf ",%a" pp_exp))
         args
-
-let pp_stmt ppf = function
-  | Sexp e -> Fmt.pf ppf "EXP %a" pp_exp e
-  | Slabel l -> Fmt.pf ppf "LABEL %s:" l
-  | Sjump l -> Fmt.pf ppf "JUMP %s" l
-  | Scjump (t, op, a, b, l) ->
-      Fmt.pf ppf "CJUMP %s%s(%a,%a) -> %s" (relop_name op) (ty_name t) pp_exp a pp_exp b l
-  | Sret None -> Fmt.string ppf "RET"
-  | Sret (Some e) -> Fmt.pf ppf "RET %a" pp_exp e
-  | Sstop (n, _) -> Fmt.pf ppf "STOP %d" n
 
 (** Size of the nominal operator x type table, lcc-style (cf. lcc's 112
     operators).  This is the table the expression server's rewriter covers. *)

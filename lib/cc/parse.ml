@@ -570,12 +570,3 @@ let parse_unit ~(file : string) ~(arch : Ldb_machine.Arch.t) (src : string) : un
     match parse_top st arch with Some t -> go (t :: acc) | None -> List.rev acc
   in
   { uname = file; tops = go [] }
-
-(** Parse a single expression (the expression server's entry point). *)
-let parse_expr ~(arch : Ldb_machine.Arch.t) (src : string) : expr =
-  let st = make (Lex.all src) in
-  let e = expression st arch in
-  (match (peek st).Lex.tok with
-  | Teof | Tpunct ";" -> ()
-  | _ -> fail st "trailing tokens after expression");
-  e

@@ -33,14 +33,6 @@ type fact = Uninit | Valid | Dead
 
 let fact_code = function Uninit -> 0 | Valid -> 1 | Dead -> 2
 
-let fact_of_code = function
-  | 0 -> Some Uninit
-  | 1 -> Some Valid
-  | 2 -> Some Dead
-  | _ -> None
-
-let fact_name = function Uninit -> "uninit" | Valid -> "valid" | Dead -> "dead"
-
 (** Gates the annotation pass in [Compile.compile]; the symbol-table
     bench toggles it to measure what the ranges cost. *)
 let enabled = ref true

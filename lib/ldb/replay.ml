@@ -135,7 +135,6 @@ let of_string (d : Ldb.t) ~(name : string) ~(image : Ldb.image) (bytes : string)
                 rp_pos = (Array.length reqs, 0); rp_tg = None; rp_cost = 0 },
               warns )
 
-let position_cursor (t : t) = t.rp_pos
 let target (t : t) = t.rp_tg
 let requests (t : t) = Array.length t.rp_reqs
 let checkpoint_count (t : t) = Array.length t.rp_cks

@@ -6,9 +6,8 @@
     rather than nubs — and a client, unlike a nub, must be presumed
     hostile.  The contract is therefore the same but stricter:
 
-    - every message travels in a frame [0xF5 0x5B | seq | len | crc |
-      payload] (all integers little-endian u32; the CRC-32 covers seq,
-      len and payload), so corruption and truncation are detectable and
+    - every message travels in a {!Ldb_util.Codec} frame with second
+      magic byte [0x5B], so corruption and truncation are detectable and
       a receiver can {e resynchronize} by scanning for the next magic;
     - the connection opens with a versioned hello carrying the literal
       {!version_magic} ([LDBSRV1]); anything else is a typed protocol
@@ -25,12 +24,11 @@
 
 open Ldb_util
 open Ldb_machine
+include Codec.Framing
 
 let version_magic = "LDBSRV1"
 
-let magic0 = '\xf5'
 let magic1 = '\x5b'
-let header_len = 14
 
 (** Client→server payloads are commands: small by construction.  A frame
     claiming more is a lying length field, not a big command. *)
@@ -43,105 +41,21 @@ let max_text = 1 lsl 16
 let max_addrs = 4096
 let max_core_wire = 1 lsl 24
 
-(* --- typed protocol errors --------------------------------------------------- *)
-
-(** What a hostile or damaged byte stream did.  Every decoder failure is
-    one of these; none of them raises. *)
-type error =
-  | Garbage of int  (** bytes discarded scanning for the next magic *)
-  | Bad_length of { seq : int; claimed : int; limit : int }
-      (** a header whose length field cannot be a real frame *)
-  | Bad_crc of { seq : int }
-  | Bad_message of string  (** a checksum-valid payload that does not decode *)
-
-let error_to_string = function
-  | Garbage n -> Printf.sprintf "%d byte%s of garbage before a frame" n
-                   (if n = 1 then "" else "s")
-  | Bad_length { seq; claimed; limit } ->
-      Printf.sprintf "frame %d claims a %d-byte payload (limit %d)" seq claimed limit
-  | Bad_crc { seq } -> Printf.sprintf "frame %d fails its checksum" seq
-  | Bad_message m -> "undecodable message: " ^ m
-
 (* --- framing ------------------------------------------------------------------ *)
 
-let u32_le (v : int) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 (Int32.of_int v);
-  Bytes.to_string b
-
-let get_u32 s pos =
-  Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub s pos 4)) 0)
-  land 0xffffffff
-
 (** Wrap [payload] in a frame. *)
-let seal ~(seq : int) (payload : string) : string =
-  if String.length payload > max_server_payload then
-    invalid_arg "Swire.seal: payload too long";
-  let head = u32_le seq ^ u32_le (String.length payload) in
-  let crc =
-    let c = Crc32.update (Crc32.init ()) head ~pos:0 ~len:8 in
-    Crc32.finish (Crc32.update c payload ~pos:0 ~len:(String.length payload))
-  in
-  Printf.sprintf "%c%c" magic0 magic1 ^ head ^ u32_le crc ^ payload
-
-(** One scanning decision over the front of a receive buffer.  The
-    caller consumes exactly what the result says and calls again;
-    [S_need] consumes nothing — the frame is merely incomplete so far. *)
-type scan =
-  | S_frame of { seq : int; payload : string; used : int }
-  | S_skip of { skip : int; error : error }
-  | S_need
+let seal ~seq payload = Codec.seal ~magic1 ~max_payload:max_server_payload ~seq payload
 
 (** Scan [buf] for the next frame.  Total, consumes nothing itself.
     [max_payload] is the receiver's trust bound: servers scan client
     bytes with {!max_client_payload}, clients scan replies with
     {!max_server_payload}. *)
-let scan ?(max_payload = max_client_payload) (buf : string) : scan =
-  let avail = String.length buf in
-  if avail = 0 then S_need
-  else
-    (* garbage in front of the next possible magic is skipped, typed *)
-    let start =
-      let rec find i =
-        if i >= avail then avail
-        else if buf.[i] = magic0 && (i + 1 >= avail || buf.[i + 1] = magic1) then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    if start > 0 then S_skip { skip = start; error = Garbage start }
-    else if avail < 2 then S_need
-    else if buf.[1] <> magic1 then
-      (* a lone magic byte: not a frame start *)
-      S_skip { skip = 1; error = Garbage 1 }
-    else if avail < header_len then S_need
-    else
-      let seq = get_u32 buf 2 in
-      let len = get_u32 buf 6 in
-      let crc = get_u32 buf 10 in
-      if len > max_payload then
-        (* a corrupted (or hostile) length field: skip the magic and let
-           the scanner resynchronize on whatever follows *)
-        S_skip { skip = 2; error = Bad_length { seq; claimed = len; limit = max_payload } }
-      else if avail < header_len + len then S_need
-      else
-        let check =
-          let c = Crc32.update (Crc32.init ()) buf ~pos:2 ~len:8 in
-          Crc32.finish (Crc32.update c buf ~pos:header_len ~len)
-        in
-        if check <> crc then
-          (* the length field itself may be lying; consume only the magic
-             so a genuine frame inside the claimed span is recovered *)
-          S_skip { skip = 2; error = Bad_crc { seq } }
-        else
-          S_frame { seq; payload = String.sub buf header_len len; used = header_len + len }
+let scan ?(max_payload = max_client_payload) buf = Codec.scan ~magic1 ~max_payload buf
 
 (** The resync step a receiver applies when buffered bytes stall as a
-    forever-incomplete frame (a torn frame's lying header promising a
-    payload that will never arrive): discard the presumed magic and
-    rescan.  Anything genuine behind the lie is recovered. *)
+    forever-incomplete frame: {!Codec.resync_skip}. *)
 let force_resync (buf : string) : string =
-  let n = min 2 (String.length buf) in
+  let n = Codec.resync_skip (String.length buf) in
   String.sub buf n (String.length buf - n)
 
 (* --- message bodies ----------------------------------------------------------- *)
@@ -158,49 +72,7 @@ type server_msg =
   | S_error of string  (** typed protocol error, echoed to the client *)
   | S_bye of string  (** server-initiated goodbye (drain, quarantine) *)
 
-(* encode helpers, in the Trace codec's style *)
-
-let buf_u32 b (v : int) = Buffer.add_string b (u32_le v)
-
-let buf_str b s =
-  buf_u32 b (String.length s);
-  Buffer.add_string b s
-
-exception Hard of string
-exception Short of string
-
-type cursor = { src : string; mutable pos : int }
-
-let need c n what =
-  if c.pos + n > String.length c.src then raise (Short what)
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let u32 c what =
-  need c 4 what;
-  let v = get_u32 c.src c.pos in
-  c.pos <- c.pos + 4;
-  v
-
-let i32 c what =
-  let v = u32 c what in
-  if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
-
-let take c n what =
-  if n < 0 then raise (Hard ("negative length for " ^ what));
-  need c n what;
-  let s = String.sub c.src c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let str c ~limit what =
-  let n = u32 c (what ^ " length") in
-  if n > limit then raise (Hard (Printf.sprintf "%s of %d bytes over the %d limit" what n limit));
-  take c n what
+open Codec.Reader
 
 (* --- commands ----------------------------------------------------------------- *)
 
@@ -209,35 +81,35 @@ let encode_command (cmd : Server.command) : string =
   (match cmd with
   | Server.Break_function f ->
       Buffer.add_char b 'f';
-      buf_str b f
+      Codec.add_str b f
   | Server.Break_line { file; line } ->
       Buffer.add_char b 'l';
       (match file with
       | None -> Buffer.add_char b '\000'
       | Some f ->
           Buffer.add_char b '\001';
-          buf_str b f);
-      buf_u32 b line
+          Codec.add_str b f);
+      Codec.add_u32 b line
   | Server.Condition { addr; cond } ->
       Buffer.add_char b 'k';
-      buf_u32 b addr;
-      buf_str b cond
+      Codec.add_u32 b addr;
+      Codec.add_str b cond
   | Server.Continue -> Buffer.add_char b 'c'
   | Server.Step_source -> Buffer.add_char b 's'
   | Server.Where -> Buffer.add_char b 'w'
   | Server.Backtrace -> Buffer.add_char b 'b'
   | Server.Print v ->
       Buffer.add_char b 'p';
-      buf_str b v
+      Codec.add_str b v
   | Server.Read_int v ->
       Buffer.add_char b 'r';
-      buf_str b v
+      Codec.add_str b v
   | Server.Fetch_core -> Buffer.add_char b 'o'
   | Server.Detach -> Buffer.add_char b 'd'
   | Server.Kill -> Buffer.add_char b 'x');
   Buffer.contents b
 
-let decode_command (c : cursor) : Server.command =
+let decode_command (c : t) : Server.command =
   match Char.chr (u8 c "command opcode") with
   | 'f' -> Server.Break_function (str c ~limit:max_text "function name")
   | 'l' ->
@@ -245,7 +117,7 @@ let decode_command (c : cursor) : Server.command =
         match u8 c "file flag" with
         | 0 -> None
         | 1 -> Some (str c ~limit:max_text "file name")
-        | f -> raise (Hard (Printf.sprintf "bad file flag %d" f))
+        | f -> hardf "bad file flag %d" f
       in
       let line = u32 c "line" in
       Server.Break_line { file; line }
@@ -262,7 +134,7 @@ let decode_command (c : cursor) : Server.command =
   | 'o' -> Server.Fetch_core
   | 'd' -> Server.Detach
   | 'x' -> Server.Kill
-  | op -> raise (Hard (Printf.sprintf "unknown command opcode %C" op))
+  | op -> hardf "unknown command opcode %C" op
 
 (* --- replies ------------------------------------------------------------------ *)
 
@@ -270,15 +142,15 @@ let encode_state (b : Buffer.t) : Ldb.state -> unit = function
   | Ldb.Running -> Buffer.add_char b 'r'
   | Ldb.Stopped { signal; code; ctx_addr } ->
       Buffer.add_char b 's';
-      buf_u32 b (Signal.number signal);
-      buf_u32 b code;
-      buf_u32 b ctx_addr
+      Codec.add_u32 b (Signal.number signal);
+      Codec.add_u32 b code;
+      Codec.add_u32 b ctx_addr
   | Ldb.Exited n ->
       Buffer.add_char b 'x';
-      buf_u32 b n
+      Codec.add_u32 b n
   | Ldb.Detached -> Buffer.add_char b 'd'
 
-let decode_state (c : cursor) : Ldb.state =
+let decode_state (c : t) : Ldb.state =
   match Char.chr (u8 c "state tag") with
   | 'r' -> Ldb.Running
   | 's' ->
@@ -288,12 +160,12 @@ let decode_state (c : cursor) : Ldb.state =
       let signal =
         match Signal.of_number sign with
         | Some s -> s
-        | None -> raise (Hard (Printf.sprintf "unknown signal %d" sign))
+        | None -> hardf "unknown signal %d" sign
       in
       Ldb.Stopped { signal; code; ctx_addr }
   | 'x' -> Ldb.Exited (i32 c "exit status")
   | 'd' -> Ldb.Detached
-  | t -> raise (Hard (Printf.sprintf "unknown state tag %C" t))
+  | t -> hardf "unknown state tag %C" t
 
 let encode_reply (r : Server.reply) : string =
   let b = Buffer.create 64 in
@@ -301,32 +173,32 @@ let encode_reply (r : Server.reply) : string =
   | Server.R_unit -> Buffer.add_char b 'u'
   | Server.R_addr a ->
       Buffer.add_char b 'a';
-      buf_u32 b a
+      Codec.add_u32 b a
   | Server.R_addrs addrs ->
       Buffer.add_char b 'A';
-      buf_u32 b (List.length addrs);
-      List.iter (buf_u32 b) addrs
+      Codec.add_u32 b (List.length addrs);
+      List.iter (Codec.add_u32 b) addrs
   | Server.R_state st ->
       Buffer.add_char b 's';
       encode_state b st
   | Server.R_text t ->
       Buffer.add_char b 't';
-      buf_str b t
+      Codec.add_str b t
   | Server.R_int n ->
       Buffer.add_char b 'i';
-      buf_u32 b (n land 0xffffffff)
+      Codec.add_u32 b (n land 0xffffffff)
   | Server.R_core co ->
       Buffer.add_char b 'C';
-      buf_str b (Core.to_string co));
+      Codec.add_str b (Core.to_string co));
   Buffer.contents b
 
-let decode_reply (c : cursor) : Server.reply =
+let decode_reply (c : t) : Server.reply =
   match Char.chr (u8 c "reply opcode") with
   | 'u' -> Server.R_unit
   | 'a' -> Server.R_addr (u32 c "addr")
   | 'A' ->
       let n = u32 c "addr count" in
-      if n > max_addrs then raise (Hard (Printf.sprintf "%d addresses over the limit" n));
+      if n > max_addrs then hardf "%d addresses over the limit" n;
       Server.R_addrs (List.init n (fun _ -> u32 c "addr"))
   | 's' -> Server.R_state (decode_state c)
   | 't' -> Server.R_text (str c ~limit:max_text "reply text")
@@ -335,9 +207,9 @@ let decode_reply (c : cursor) : Server.reply =
       let bytes = str c ~limit:max_core_wire "core bytes" in
       match Core.of_string bytes with
       | Ok (co, []) -> Server.R_core co
-      | Ok (_, _ :: _) -> raise (Hard "damaged core in reply")
-      | Error m -> raise (Hard ("bad core in reply: " ^ m)))
-  | op -> raise (Hard (Printf.sprintf "unknown reply opcode %C" op))
+      | Ok (_, _ :: _) -> hard "damaged core in reply"
+      | Error m -> hard ("bad core in reply: " ^ m))
+  | op -> hardf "unknown reply opcode %C" op
 
 (* --- refusals ----------------------------------------------------------------- *)
 
@@ -346,23 +218,23 @@ let encode_refusal (r : Server.refusal) : string =
   (match r with
   | Server.No_such_session id ->
       Buffer.add_char b 'n';
-      buf_u32 b id
+      Codec.add_u32 b id
   | Server.Session_closed id ->
       Buffer.add_char b 'c';
-      buf_u32 b id
+      Codec.add_u32 b id
   | Server.Session_down { reason; salvaged } ->
       Buffer.add_char b 'd';
       Buffer.add_char b (if salvaged then '\001' else '\000');
-      buf_str b reason
+      Codec.add_str b reason
   | Server.Overloaded m ->
       Buffer.add_char b 'o';
-      buf_str b m
+      Codec.add_str b m
   | Server.Failed m ->
       Buffer.add_char b 'f';
-      buf_str b m);
+      Codec.add_str b m);
   Buffer.contents b
 
-let decode_refusal (c : cursor) : Server.refusal =
+let decode_refusal (c : t) : Server.refusal =
   match Char.chr (u8 c "refusal opcode") with
   | 'n' -> Server.No_such_session (u32 c "session id")
   | 'c' -> Server.Session_closed (u32 c "session id")
@@ -371,12 +243,12 @@ let decode_refusal (c : cursor) : Server.refusal =
         match u8 c "salvage flag" with
         | 0 -> false
         | 1 -> true
-        | f -> raise (Hard (Printf.sprintf "bad salvage flag %d" f))
+        | f -> hardf "bad salvage flag %d" f
       in
       Server.Session_down { reason = str c ~limit:max_text "down reason"; salvaged }
   | 'o' -> Server.Overloaded (str c ~limit:max_text "overload reason")
   | 'f' -> Server.Failed (str c ~limit:max_text "failure reason")
-  | op -> raise (Hard (Printf.sprintf "unknown refusal opcode %C" op))
+  | op -> hardf "unknown refusal opcode %C" op
 
 (* --- whole messages ----------------------------------------------------------- *)
 
@@ -385,7 +257,7 @@ let encode_client (m : client_msg) : string =
   (match m with
   | C_hello { magic } ->
       Buffer.add_char b 'H';
-      buf_str b magic
+      Codec.add_str b magic
   | C_cmd cmd ->
       Buffer.add_char b 'C';
       Buffer.add_string b (encode_command cmd)
@@ -397,8 +269,8 @@ let encode_server (m : server_msg) : string =
   (match m with
   | S_hello { session } ->
       Buffer.add_char b 'H';
-      buf_str b version_magic;
-      buf_u32 b session
+      Codec.add_str b version_magic;
+      Codec.add_u32 b session
   | S_reply r ->
       Buffer.add_char b 'R';
       Buffer.add_string b (encode_reply r)
@@ -407,50 +279,40 @@ let encode_server (m : server_msg) : string =
       Buffer.add_string b (encode_refusal r)
   | S_error m ->
       Buffer.add_char b 'E';
-      buf_str b m
+      Codec.add_str b m
   | S_bye m ->
       Buffer.add_char b 'D';
-      buf_str b m);
+      Codec.add_str b m);
   Buffer.contents b
+
+(* a whole-payload decoder whose every fault is a typed {!Bad_message} *)
+let decode f payload =
+  Result.map_error (fun e -> Bad_message (fault_to_string e)) (run f payload)
 
 (** Decode a client payload.  Total: anything undecodable is a typed
     {!Bad_message}, never an exception. *)
-let decode_client (payload : string) : (client_msg, error) result =
-  let c = { src = payload; pos = 0 } in
-  let fin v =
-    if c.pos <> String.length payload then Error (Bad_message "trailing bytes") else Ok v
-  in
-  try
-    match Char.chr (u8 c "message opcode") with
-    | 'H' -> fin (C_hello { magic = str c ~limit:64 "hello magic" })
-    | 'C' -> fin (C_cmd (decode_command c))
-    | 'B' -> fin C_bye
-    | op -> Error (Bad_message (Printf.sprintf "unknown client opcode %C" op))
-  with
-  | Hard m -> Error (Bad_message m)
-  | Short what -> Error (Bad_message ("truncated " ^ what))
+let decode_client : string -> (client_msg, error) result =
+  decode (fun c ->
+      match Char.chr (u8 c "message opcode") with
+      | 'H' -> C_hello { magic = str c ~limit:64 "hello magic" }
+      | 'C' -> C_cmd (decode_command c)
+      | 'B' -> C_bye
+      | op -> hardf "unknown client opcode %C" op)
 
 (** Decode a server payload.  Total, like {!decode_client}. *)
-let decode_server (payload : string) : (server_msg, error) result =
-  let c = { src = payload; pos = 0 } in
-  let fin v =
-    if c.pos <> String.length payload then Error (Bad_message "trailing bytes") else Ok v
-  in
-  try
-    match Char.chr (u8 c "message opcode") with
-    | 'H' ->
-        let magic = str c ~limit:64 "hello magic" in
-        if magic <> version_magic then
-          Error (Bad_message (Printf.sprintf "hello answers %S, not %S" magic version_magic))
-        else fin (S_hello { session = u32 c "session id" })
-    | 'R' -> fin (S_reply (decode_reply c))
-    | 'F' -> fin (S_refused (decode_refusal c))
-    | 'E' -> fin (S_error (str c ~limit:max_text "error text"))
-    | 'D' -> fin (S_bye (str c ~limit:max_text "bye text"))
-    | op -> Error (Bad_message (Printf.sprintf "unknown server opcode %C" op))
-  with
-  | Hard m -> Error (Bad_message m)
-  | Short what -> Error (Bad_message ("truncated " ^ what))
+let decode_server : string -> (server_msg, error) result =
+  decode (fun c ->
+      match Char.chr (u8 c "message opcode") with
+      | 'H' ->
+          let magic = str c ~limit:64 "hello magic" in
+          if magic <> version_magic then
+            hardf "hello answers %S, not %S" magic version_magic;
+          S_hello { session = u32 c "session id" }
+      | 'R' -> S_reply (decode_reply c)
+      | 'F' -> S_refused (decode_refusal c)
+      | 'E' -> S_error (str c ~limit:max_text "error text")
+      | 'D' -> S_bye (str c ~limit:max_text "bye text")
+      | op -> hardf "unknown server opcode %C" op)
 
 (** Render a server message the way transcripts and logs want it. *)
 let server_msg_to_string = function

@@ -600,9 +600,6 @@ let resolve (st : t) (stop : stop option) (name : string) : V.t option =
 let proc_by_name_scan (st : t) name =
   List.find_opt (fun e -> entry_name e = name) (procs st)
 
-let proc_by_label_scan (st : t) label =
-  List.find_opt (fun e -> proc_label e = Some label) (procs st)
-
 let stops_at_line_scan (st : t) ~line : stop list =
   List.concat_map
     (fun p -> List.filter (fun s -> s.stop_line = line) (stops_of_proc p))

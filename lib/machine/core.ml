@@ -47,8 +47,6 @@ let salvage_to_string = function
       Printf.sprintf "section %S fails CRC: stored %08x, computed %08x" section stored
         computed
 
-let pp_salvage ppf s = Fmt.string ppf (salvage_to_string s)
-
 (** Signals whose delivery ends the process for good — the ones worth a
     dump.  SIGTRAP (breakpoints) and SIGINT (fuel/debugger interrupts)
     are recoverable stops, not deaths. *)
@@ -68,19 +66,6 @@ let fatal_signal = function
 module Service = struct
   let ctx_base = Ram.Layout.context_base
 
-  let le_of_int32 v =
-    let b = Bytes.create 4 in
-    Endian.set_u32 Little b 0 v;
-    Bytes.to_string b
-
-  let le_of_int64 v =
-    let b = Bytes.create 8 in
-    Endian.set_u64 Little b 0 v;
-    Bytes.to_string b
-
-  let int32_of_le s = Endian.get_u32 Little (Bytes.of_string s) 0
-  let int64_of_le s = Endian.get_u64 Little (Bytes.of_string s) 0
-
   (** Is [addr] an 8-byte access to a saved floating-point register in a
       SIM-MIPS context? *)
   let mips_fp_word_swap (t : Target.t) addr =
@@ -96,17 +81,15 @@ module Service = struct
       try
         match size with
         | 1 -> Ok (String.make 1 (Char.chr (Ram.get_u8 ram addr)))
-        | 2 ->
-            let v = Ram.get_u16 ram addr in
-            Ok (String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)))
-        | 4 -> Ok (le_of_int32 (Ram.get_u32 ram addr))
+        | 2 -> Ok (Codec.u16_le (Ram.get_u16 ram addr))
+        | 4 -> Ok (Codec.int32_le (Ram.get_u32 ram addr))
         | 8 ->
             if mips_fp_word_swap t addr then begin
               (* words were saved LSW-first; swap while fetching *)
               let lo = Ram.get_u32 ram addr and hi = Ram.get_u32 ram (addr + 4) in
-              Ok (le_of_int32 lo ^ le_of_int32 hi)
+              Ok (Codec.int32_le lo ^ Codec.int32_le hi)
             end
-            else Ok (le_of_int64 (Ram.get_u64 ram addr))
+            else Ok (Codec.int64_le (Ram.get_u64 ram addr))
         | 10 ->
             (* 80-bit extended: raw packed format, SIM-68020 only *)
             Ok (Ram.read_string ram ~addr ~len:10)
@@ -123,16 +106,14 @@ module Service = struct
       try
         (match String.length bytes with
         | 1 -> Ram.set_u8 ram addr (Char.code bytes.[0])
-        | 2 ->
-            let v = Char.code bytes.[0] lor (Char.code bytes.[1] lsl 8) in
-            Ram.set_u16 ram addr v
-        | 4 -> Ram.set_u32 ram addr (int32_of_le bytes)
+        | 2 -> Ram.set_u16 ram addr (String.get_uint16_le bytes 0)
+        | 4 -> Ram.set_u32 ram addr (String.get_int32_le bytes 0)
         | 8 ->
             if mips_fp_word_swap t addr then begin
-              Ram.set_u32 ram addr (int32_of_le (String.sub bytes 0 4));
-              Ram.set_u32 ram (addr + 4) (int32_of_le (String.sub bytes 4 4))
+              Ram.set_u32 ram addr (String.get_int32_le bytes 0);
+              Ram.set_u32 ram (addr + 4) (String.get_int32_le bytes 4)
             end
-            else Ram.set_u64 ram addr (int64_of_le bytes)
+            else Ram.set_u64 ram addr (String.get_int64_le bytes 0)
         | 10 -> Ram.blit_in ram ~addr bytes
         | _ -> Ram.blit_in ram ~addr bytes);
         Ok ()
@@ -181,11 +162,7 @@ let of_proc (p : Proc.t) ~(signal : int) ~(code : int) : t =
   let freg_bytes = t.Target.ctx_freg_bytes in
   let freg_image f =
     let v = Cpu.freg cpu f in
-    if freg_bytes = 10 then Float80.to_bytes v
-    else
-      let b = Bytes.create 8 in
-      Endian.set_u64 Little b 0 (Int64.bits_of_float v);
-      Bytes.to_string b
+    if freg_bytes = 10 then Float80.to_bytes v else Codec.int64_le (Int64.bits_of_float v)
   in
   let ram = p.Proc.ram in
   let open Ram.Layout in
@@ -224,40 +201,27 @@ let of_proc (p : Proc.t) ~(signal : int) ~(code : int) : t =
 
 let magic = "LDBCORE1"
 
-let buf_u32 b (v : int) =
-  let cell = Bytes.create 4 in
-  Endian.set_u32 Little cell 0 (Int32.of_int v);
-  Buffer.add_bytes b cell
-
-let buf_i32 b (v : int32) =
-  let cell = Bytes.create 4 in
-  Endian.set_u32 Little cell 0 v;
-  Buffer.add_bytes b cell
-
-let buf_str b s =
-  buf_u32 b (String.length s);
-  Buffer.add_string b s
-
 let to_string (co : t) : string =
+  let open Codec in
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  buf_str b (Arch.name co.co_arch);
-  buf_u32 b co.co_signal;
-  buf_u32 b co.co_code;
-  buf_u32 b co.co_pc;
-  buf_u32 b co.co_ctx_addr;
-  buf_u32 b (Array.length co.co_regs);
-  Array.iter (fun r -> buf_i32 b r) co.co_regs;
-  buf_u32 b (Array.length co.co_fregs);
-  buf_u32 b co.co_freg_bytes;
-  Array.iter (fun s -> Buffer.add_string b s) co.co_fregs;
-  buf_u32 b (List.length co.co_sections);
+  add_str b (Arch.name co.co_arch);
+  add_u32 b co.co_signal;
+  add_u32 b co.co_code;
+  add_u32 b co.co_pc;
+  add_u32 b co.co_ctx_addr;
+  add_u32 b (Array.length co.co_regs);
+  Array.iter (add_int32 b) co.co_regs;
+  add_u32 b (Array.length co.co_fregs);
+  add_u32 b co.co_freg_bytes;
+  Array.iter (Buffer.add_string b) co.co_fregs;
+  add_u32 b (List.length co.co_sections);
   List.iter
     (fun s ->
-      buf_str b s.sec_name;
-      buf_u32 b s.sec_base;
-      buf_u32 b (String.length s.sec_bytes);
-      buf_u32 b s.sec_crc;
+      add_str b s.sec_name;
+      add_u32 b s.sec_base;
+      add_u32 b (String.length s.sec_bytes);
+      add_u32 b s.sec_crc;
       Buffer.add_string b s.sec_bytes)
     co.co_sections;
   Buffer.contents b
@@ -268,57 +232,33 @@ let max_freg_bytes = 64
 let max_name = 256
 let max_section_bytes = 1 lsl 26
 
-exception Hard of string
-exception Short of string * int * int  (** what, needed, have *)
-
 (** Load a dump.  Damage in the fixed header is a hard error (there is
     nothing to salvage without knowing the machine and the fault);
     anything after that degrades: a short register file keeps the
     registers that survived, short or corrupt sections are kept with
     [sec_ok = false], and every concession is reported as a {!salvage}
-    warning. *)
+    warning.  Every field is unsigned except the register images. *)
 let of_string (s : string) : (t * salvage list, string) result =
+  let open Codec.Reader in
   let warnings = ref [] in
   let warn w = warnings := w :: !warnings in
-  let pos = ref 0 in
-  let remaining () = String.length s - !pos in
-  let need what n = if remaining () < n then raise (Short (what, n, remaining ())) in
-  let u32 what =
-    need what 4;
-    let v = Endian.get_u32 Little (Bytes.unsafe_of_string s) !pos in
-    pos := !pos + 4;
-    Int32.to_int v land 0xffffffff
-  in
-  let i32 what =
-    need what 4;
-    let v = Endian.get_u32 Little (Bytes.unsafe_of_string s) !pos in
-    pos := !pos + 4;
-    v
-  in
-  let take what n =
-    need what n;
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
-  in
   try
-    if String.length s < String.length magic || String.sub s 0 (String.length magic) <> magic
-    then raise (Hard "bad magic (not an LDBCORE1 dump)");
-    pos := String.length magic;
-    let arch_len = u32 "arch name length" in
-    if arch_len > max_name then raise (Hard "implausible arch name length");
-    let arch_name = take "arch name" arch_len in
+    if not (String.starts_with ~prefix:magic s) then hard "bad magic (not an LDBCORE1 dump)";
+    let c = of_string ~pos:(String.length magic) s in
+    let arch_len = u32 c "arch name length" in
+    if arch_len > max_name then hard "implausible arch name length";
+    let arch_name = take c arch_len "arch name" in
     let arch =
       match Arch.of_name arch_name with
       | Some a -> a
-      | None -> raise (Hard (Printf.sprintf "unknown architecture %S" arch_name))
+      | None -> hardf "unknown architecture %S" arch_name
     in
-    let signal = u32 "signal" in
-    let code = u32 "code" in
-    let pc = u32 "pc" in
-    let ctx_addr = u32 "ctx addr" in
-    let nregs = u32 "register count" in
-    if nregs > max_regs then raise (Hard "implausible register count");
+    let signal = u32 c "signal" in
+    let code = u32 c "code" in
+    let pc = u32 c "pc" in
+    let ctx_addr = u32 c "ctx addr" in
+    let nregs = u32 c "register count" in
+    if nregs > max_regs then hard "implausible register count";
     (* Header parsed: from here on, damage degrades instead of failing. *)
     let regs = Array.make nregs 0l in
     let fregs = ref [||] in
@@ -326,30 +266,30 @@ let of_string (s : string) : (t * salvage list, string) result =
     let sections = ref [] in
     (try
        for r = 0 to nregs - 1 do
-         regs.(r) <- i32 "register file"
+         regs.(r) <- int32 c "register file"
        done;
-       let nfregs = u32 "floating register count" in
-       if nfregs > max_regs then raise (Hard "implausible floating register count");
-       let fb = u32 "floating register width" in
-       if fb > max_freg_bytes then raise (Hard "implausible floating register width");
+       let nfregs = u32 c "floating register count" in
+       if nfregs > max_regs then hard "implausible floating register count";
+       let fb = u32 c "floating register width" in
+       if fb > max_freg_bytes then hard "implausible floating register width";
        freg_bytes := fb;
        fregs := Array.init nfregs (fun f ->
-           take (Printf.sprintf "floating register %d" f) fb);
-       let nsections = u32 "section count" in
-       if nsections > max_regs then raise (Hard "implausible section count");
+           take c fb (Printf.sprintf "floating register %d" f));
+       let nsections = u32 c "section count" in
+       if nsections > max_regs then hard "implausible section count";
        for _ = 1 to nsections do
-         let name_len = u32 "section name length" in
-         if name_len > max_name then raise (Hard "implausible section name length");
-         let name = take "section name" name_len in
-         let base = u32 "section base" in
-         let len = u32 "section length" in
-         if len > max_section_bytes then raise (Hard "implausible section length");
-         let crc = u32 "section crc" in
-         let have = min len (remaining ()) in
+         let name_len = u32 c "section name length" in
+         if name_len > max_name then hard "implausible section name length";
+         let name = take c name_len "section name" in
+         let base = u32 c "section base" in
+         let len = u32 c "section length" in
+         if len > max_section_bytes then hard "implausible section length";
+         let crc = u32 c "section crc" in
+         let have = min len (remaining c) in
          if have < len then
            warn (Truncated { what = Printf.sprintf "section %S" name; expected = len;
                              got = have });
-         let bytes = take "section bytes" have in
+         let bytes = take c have "section bytes" in
          let ok =
            have = len
            &&
@@ -366,21 +306,19 @@ let of_string (s : string) : (t * salvage list, string) result =
            :: !sections
        done
      with
-     | Short (what, needed, have) -> warn (Truncated { what; expected = needed; got = have })
-     | Hard m ->
+     | Malformed (Short { what; need; have }) ->
+         warn (Truncated { what; expected = need; got = have })
+     | Malformed (Hard m) ->
          (* a garbage length field mid-body: keep what parsed, note the rest *)
          warn (Truncated { what = "dump body (" ^ m ^ ")";
-                           expected = String.length s; got = !pos }));
+                           expected = String.length s; got = pos c }));
     let co =
       { co_arch = arch; co_signal = signal; co_code = code; co_pc = pc;
         co_ctx_addr = ctx_addr; co_regs = regs; co_freg_bytes = !freg_bytes;
         co_fregs = !fregs; co_sections = List.rev !sections }
     in
     Ok (co, List.rev !warnings)
-  with
-  | Hard m -> Error m
-  | Short (what, needed, have) ->
-      Error (Printf.sprintf "truncated %s: need %d bytes, have %d" what needed have)
+  with Malformed f -> Error (fault_to_string f)
 
 (* --- rehydration -------------------------------------------------------- *)
 
@@ -408,14 +346,11 @@ let damaged_overlap (co : t) ~addr ~size : section list =
       && addr + size > s.sec_base)
     co.co_sections
 
-let find_section (co : t) name =
-  List.find_opt (fun s -> s.sec_name = name) co.co_sections
-
 (** Decode floating register [f] from its raw image. *)
 let freg_value (co : t) (f : int) : float =
   let img = co.co_fregs.(f) in
   if co.co_freg_bytes = 10 then Float80.of_bytes img
-  else Int64.float_of_bits (Endian.get_u64 Little (Bytes.of_string img) 0)
+  else Int64.float_of_bits (String.get_int64_le img 0)
 
 (** Rebuild a {e runnable} process from a dump: fresh zero-filled RAM
     with the sections blitted back (the margins {!trim_zeros} dropped

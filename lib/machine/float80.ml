@@ -73,22 +73,11 @@ let to_float (r : repr) : float =
 let to_bytes (x : float) : string =
   let r = of_float x in
   let b = Bytes.create 10 in
-  let se = (r.sign lsl 15) lor (r.exponent land 0x7fff) in
-  Bytes.set b 0 (Char.chr ((se lsr 8) land 0xff));
-  Bytes.set b 1 (Char.chr (se land 0xff));
-  for i = 0 to 7 do
-    let byte =
-      Int64.to_int (Int64.logand (Int64.shift_right_logical r.mantissa (8 * (7 - i))) 0xffL)
-    in
-    Bytes.set b (2 + i) (Char.chr byte)
-  done;
+  Bytes.set_uint16_be b 0 ((r.sign lsl 15) lor (r.exponent land 0x7fff));
+  Bytes.set_int64_be b 2 r.mantissa;
   Bytes.to_string b
 
 let of_bytes (s : string) : float =
   if String.length s <> 10 then invalid_arg "Float80.of_bytes";
-  let se = (Char.code s.[0] lsl 8) lor Char.code s.[1] in
-  let mant = ref 0L in
-  for i = 0 to 7 do
-    mant := Int64.logor (Int64.shift_left !mant 8) (Int64.of_int (Char.code s.[2 + i]))
-  done;
-  to_float { sign = (se lsr 15) land 1; exponent = se land 0x7fff; mantissa = !mant }
+  let se = String.get_uint16_be s 0 in
+  to_float { sign = (se lsr 15) land 1; exponent = se land 0x7fff; mantissa = String.get_int64_be s 2 }

@@ -94,20 +94,13 @@ let relop_of_code = function
   | 0 -> Some Eq | 1 -> Some Ne | 2 -> Some Lt | 3 -> Some Le | 4 -> Some Gt
   | 5 -> Some Ge | _ -> None
 
-let i32_le (v : int32) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 v;
-  Bytes.to_string b
-
 let i16_le (v : int) =
   if v < -32768 || v > 32767 then
     raise (Encode_error (Printf.sprintf "jump offset %d outside i16" v));
-  let b = Bytes.create 2 in
-  Endian.set_u16 Little b 0 (v land 0xffff);
-  Bytes.to_string b
+  Codec.u16_le v
 
 let encode_insn = function
-  | Push v -> "P" ^ i32_le v
+  | Push v -> "P" ^ Codec.int32_le v
   | Load_reg r ->
       if r < 0 || r > 255 then raise (Encode_error "register out of u8 range");
       Printf.sprintf "r%c" (Char.chr r)
@@ -138,72 +131,45 @@ let encode (p : prog) : string =
 
 (* --- decoding (total) --------------------------------------------------- *)
 
-(* the same cursor discipline as {!Proto}: [Bad] never escapes [decode] *)
-exception Bad of string
-
-type cursor = { src : string; mutable pos : int }
-
-let need c n what =
-  if c.pos + n > String.length c.src then raise (Bad ("truncated " ^ what))
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let i32 c what =
-  need c 4 what;
-  let v = Endian.get_u32 Little (Bytes.of_string (String.sub c.src c.pos 4)) 0 in
-  c.pos <- c.pos + 4;
-  v
-
-let i16 c what =
-  need c 2 what;
-  let v = Endian.get_u16 Little (Bytes.of_string (String.sub c.src c.pos 2)) 0 in
-  c.pos <- c.pos + 2;
-  if v >= 0x8000 then v - 0x10000 else v
-
 let decode_insn c : insn =
+  let open Codec.Reader in
   match Char.chr (u8 c "opcode") with
-  | 'P' -> Push (i32 c "push immediate")
+  | 'P' -> Push (int32 c "push immediate")
   | 'r' -> Load_reg (u8 c "register number")
   | 'x' -> Load_pc
   | 'm' ->
       let space = Char.chr (u8 c "load space") in
-      if space <> 'c' && space <> 'd' then
-        raise (Bad (Printf.sprintf "load space %C not 'c'/'d'" space));
+      if space <> 'c' && space <> 'd' then hardf "load space %C not 'c'/'d'" space;
       let size = u8 c "load size" in
-      if size <> 1 && size <> 2 && size <> 4 then
-        raise (Bad (Printf.sprintf "load size %d not 1/2/4" size));
+      if size <> 1 && size <> 2 && size <> 4 then hardf "load size %d not 1/2/4" size;
       let signed =
         match u8 c "load signedness" with
         | 0 -> false
         | 1 -> true
-        | f -> raise (Bad (Printf.sprintf "load signedness flag %d" f))
+        | f -> hardf "load signedness flag %d" f
       in
       Load { space; size; signed }
   | 'a' -> (
       let code = u8 c "binop code" in
       match binop_of_code code with
       | Some op -> Bin op
-      | None -> raise (Bad (Printf.sprintf "binop code %d" code)))
+      | None -> hardf "binop code %d" code)
   | 'c' -> (
       let code = u8 c "relop code" in
       let signed =
         match u8 c "compare signedness" with
         | 0 -> false
         | 1 -> true
-        | f -> raise (Bad (Printf.sprintf "compare signedness flag %d" f))
+        | f -> hardf "compare signedness flag %d" f
       in
       match relop_of_code code with
       | Some rel -> Cmp { rel; signed }
-      | None -> raise (Bad (Printf.sprintf "relop code %d" code)))
+      | None -> hardf "relop code %d" code)
   | '!' -> Not
   | 'z' -> Jz (i16 c "jump offset")
   | 'n' -> Jnz (i16 c "jump offset")
   | 'j' -> Jmp (i16 c "jump offset")
-  | op -> raise (Bad (Printf.sprintf "unknown bpcode opcode %C" op))
+  | op -> hardf "unknown bpcode opcode %C" op
 
 (** Decode a complete program.  Total: any string that is not the exact
     encoding of a program within the size limits yields [Error]. *)
@@ -212,18 +178,16 @@ let decode (s : string) : (prog, string) result =
     Error (Printf.sprintf "program of %d bytes exceeds limit %d" (String.length s)
              max_prog_bytes)
   else
-    let c = { src = s; pos = 0 } in
-    let acc = ref [] in
-    let n = ref 0 in
-    match
-      while c.pos < String.length s do
-        incr n;
-        if !n > max_insns then raise (Bad (Printf.sprintf "more than %d instructions" max_insns));
-        acc := decode_insn c :: !acc
-      done
-    with
-    | () -> Ok (Array.of_list (List.rev !acc))
-    | exception Bad m -> Error m
+    let open Codec.Reader in
+    let insns c =
+      let rec go n acc =
+        if at_end c then Array.of_list (List.rev acc)
+        else if n >= max_insns then hardf "more than %d instructions" max_insns
+        else go (n + 1) (decode_insn c :: acc)
+      in
+      go 0 []
+    in
+    Result.map_error fault_to_string (run insns s)
 
 (* --- printing ----------------------------------------------------------- *)
 

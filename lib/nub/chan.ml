@@ -66,11 +66,10 @@ type endpoint = {
   mutable pump : unit -> unit;  (** let the peer make progress *)
   mutable on_send : (string -> unit) option;
       (** fault-injection hook: replaces direct delivery when set *)
-  mutable deadline : int;
-      (** consecutive stalled pumps tolerated before {!Timeout} *)
   label : string;
 }
 
+(** Consecutive stalled pumps tolerated before {!Timeout}. *)
 let default_deadline = 2
 
 (** Create a connected pair of endpoints. *)
@@ -78,15 +77,13 @@ let pair ?(labels = ("a", "b")) () =
   let ab = fifo () and ba = fifo () in
   let link = { up = true } in
   let mk rx tx label =
-    { rx; tx; link; pump = (fun () -> ()); on_send = None;
-      deadline = default_deadline; label }
+    { rx; tx; link; pump = (fun () -> ()); on_send = None; label }
   in
   (mk ba ab (fst labels), mk ab ba (snd labels))
 
 let set_pump e f = e.pump <- f
 let pump_of e = e.pump
 let set_on_send e f = e.on_send <- f
-let set_deadline e d = e.deadline <- max 0 d
 let is_connected e = e.link.up
 
 (** Sever the link.  Both sides observe it: sends raise {!Disconnected}
@@ -113,10 +110,9 @@ let skip e n = fifo_skip e.rx n
 (** Read exactly [n] bytes, pumping the peer as needed.  Raises
     {!Disconnected} when the link is down and the bytes can never arrive,
     {!Timeout} when the link is up but the peer stays silent for more than
-    [deadline] (default: the endpoint's own deadline) consecutive
-    unproductive pumps. *)
-let recv_exactly ?deadline e n =
-  let deadline = match deadline with Some d -> d | None -> e.deadline in
+    [deadline] (default: {!default_deadline}) consecutive unproductive
+    pumps. *)
+let recv_exactly ?(deadline = default_deadline) e n =
   let buf = Buffer.create n in
   let stalled = ref 0 in
   while Buffer.length buf < n do

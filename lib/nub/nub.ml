@@ -616,12 +616,12 @@ let rec pump n =
            | `Incomplete ->
                (* a header whose corrupted length field promises bytes
                   that never arrive would block the stream forever: after
-                  enough quiet pumps, discard its magic and rescan *)
+                  enough quiet pumps, resync *)
                let avail = Chan.available ep in
                if avail > 0 && avail = n.rx_mark then begin
                  n.rx_quiet <- n.rx_quiet + 1;
                  if n.rx_quiet > rx_stall_limit then begin
-                   Chan.skip ep 2;
+                   Frame.resync ep;
                    n.rx_quiet <- 0
                  end
                  else draining := false

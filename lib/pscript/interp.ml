@@ -101,7 +101,6 @@ let pop_float t = to_float (pop t)
 let pop_bool t = to_bool (pop t)
 let pop_str t = to_str (pop t)
 let pop_dict t = to_dict (pop t)
-let pop_arr t = to_arr (pop t)
 let pop_mem t = to_mem (pop t)
 let pop_loc t = to_loc (pop t)
 

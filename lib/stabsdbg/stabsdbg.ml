@@ -28,32 +28,24 @@ type t = {
   nlines : int;
 }
 
-let u16 s i = Char.code s.[i] lor (Char.code s.[i + 1] lsl 8)
-
-let u32 s i =
-  Char.code s.[i]
-  lor (Char.code s.[i + 1] lsl 8)
-  lor (Char.code s.[i + 2] lsl 16)
-  lor (Char.code s.[i + 3] lsl 24)
-
 exception Corrupt of string
 
-(** Parse a raw stabs byte string. *)
+(** Parse a raw stabs byte string: records of u8 type, u16 desc, u32
+    value, u16 name length and the name, all little-endian. *)
 let parse (raw : string) : t =
-  let n = String.length raw in
+  let open Ldb_util.Codec.Reader in
+  let c = of_string raw in
   let stabs = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    if !pos + 9 > n then raise (Corrupt "truncated record header");
-    let st_type = Char.code raw.[!pos] in
-    let st_desc = u16 raw (!pos + 1) in
-    let st_value = u32 raw (!pos + 3) in
-    let nstr = u16 raw (!pos + 7) in
-    if !pos + 9 + nstr > n then raise (Corrupt "truncated record name");
-    let st_name = String.sub raw (!pos + 9) nstr in
-    stabs := { st_type; st_desc; st_value; st_name } :: !stabs;
-    pos := !pos + 9 + nstr
-  done;
+  (try
+     while not (at_end c) do
+       let st_type = u8 c "record header" in
+       let st_desc = u16 c "record header" in
+       let st_value = u32 c "record header" in
+       let nstr = u16 c "record header" in
+       let st_name = take c nstr "record name" in
+       stabs := { st_type; st_desc; st_value; st_name } :: !stabs
+     done
+   with Malformed f -> raise (Corrupt (fault_to_string f)));
   let stabs = List.rev !stabs in
   let by_name = Hashtbl.create 64 in
   List.iter

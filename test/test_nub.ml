@@ -176,6 +176,53 @@ let gen_request : Proto.request QCheck.arbitrary =
 let prop_request_roundtrip =
   Testkit.qtest "random requests roundtrip" ~count:500 gen_request roundtrip_request
 
+(** Full-range fields: addresses, offsets, lengths, signals and codes are
+    unsigned 32-bit on the wire and decode back unsigned; exit statuses
+    are signed and decode back negative. *)
+let gen_full_range : (Proto.request * Proto.reply) QCheck.arbitrary =
+  let open QCheck.Gen in
+  let u32 = int_range 0 0xffff_ffff and status = int_range (-0x8000_0000) 0x7fff_ffff in
+  let str n = string_size ~gen:char (int_range 0 n) in
+  let request =
+    oneof
+      [ map3 (fun addr size c -> Proto.Fetch { space = c; addr; size })
+          u32 (int_range 1 16) (oneofl [ 'c'; 'd' ]);
+        map2 (fun addr bytes -> Proto.Store { space = 'd'; addr; bytes })
+          u32 (string_size ~gen:char (int_range 1 16));
+        map (fun offset -> Proto.Dump { offset }) u32;
+        map2 (fun addr prog -> Proto.Set_cond { addr; prog })
+          u32 (string_size ~gen:char (int_range 1 Proto.max_cond_prog));
+        map (fun addr -> Proto.Clear_cond { addr }) u32;
+        map (fun spacing -> Proto.Record { spacing }) (int_range 1 0xffff_ffff);
+        map (fun offset -> Proto.Fetch_trace { offset }) u32 ]
+  in
+  let reply =
+    oneof
+      [ map3 (fun signal code ctx_addr ->
+            Proto.Hello_reply
+              { arch = "sparc"; can_step = false;
+                state = Proto.St_stopped { signal; code; ctx_addr } })
+          u32 u32 u32;
+        map (fun st -> Proto.Hello_reply { arch = "vax"; can_step = true; state = Proto.St_exited st })
+          status;
+        map3 (fun signal code ctx_addr -> Proto.Event { signal; code; ctx_addr }) u32 u32 u32;
+        map (fun st -> Proto.Exit_event st) status;
+        map3 (fun total offset chunk -> Proto.Core_chunk { total; offset; chunk })
+          u32 u32 (str Proto.max_core_chunk);
+        map3 (fun total offset chunk -> Proto.Trace_chunk { total; offset; chunk })
+          u32 u32 (str Proto.max_trace_chunk);
+        map2 (fun (signal, code) (ctx_addr, suppressed) ->
+            Proto.Cond_hit { signal; code; ctx_addr; suppressed })
+          (pair u32 u32) (pair u32 u32) ]
+  in
+  QCheck.make
+    ~print:(fun (q, r) -> Fmt.str "%a / %a" Proto.pp_request q Proto.pp_reply r)
+    (pair request reply)
+
+let prop_full_range_roundtrip =
+  Testkit.qtest "full-range fields and negative statuses roundtrip" ~count:500
+    gen_full_range (fun (q, r) -> roundtrip_request q && roundtrip_reply r)
+
 (** Totality: the decoders return [Error] on junk, they never raise. *)
 let prop_decode_never_raises =
   Testkit.qtest "decoders never raise on arbitrary bytes" ~count:1000
@@ -560,7 +607,7 @@ let () =
         [ case "requests" test_request_roundtrips; case "replies" test_reply_roundtrips;
           case "bad sizes rejected" test_decode_rejects_bad_sizes;
           case "bad condition lengths rejected" test_decode_rejects_bad_cond_lengths;
-          prop_request_roundtrip; prop_decode_never_raises; prop_truncation_detected ] );
+          prop_request_roundtrip; prop_full_range_roundtrip; prop_decode_never_raises; prop_truncation_detected ] );
       ( "frames",
         [ case "roundtrip" test_frame_roundtrip;
           case "corruption detected" test_frame_detects_corruption;

@@ -324,6 +324,27 @@ let determinism_case () =
   check Alcotest.bool "replayed end dumps the live core" true
     (String.equal (Ldb.core_bytes tg) (Ldb.core_bytes s1.Testkit.tg))
 
+(* a negative exit status: the trace must carry it signed, as the live
+   nub reports it, or replaying to the end diverges from the recording *)
+let negative_c = {|
+int main(void)
+{
+    int a;
+    a = 3;
+    return a - 4;
+}
+|}
+
+let negative_exit_case arch () =
+  let s = Testkit.debug_session ~arch [ ("neg.c", negative_c) ] in
+  Ldb.start_record s.Testkit.tg ~spacing:8;
+  let live = Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg) in
+  (match live with
+  | Ldb.Exited (-1) -> ()
+  | _ -> Alcotest.fail "live run did not exit with -1");
+  let tg = reach (Replay.seek_end (open_replay s)) in
+  check Alcotest.bool "replay reaches the live exit status" true (tg.Ldb.tg_state = live)
+
 (* --- trace codec -------------------------------------------------------------- *)
 
 (** qcheck: a checkpoint really is an LDBCORE1 dump plus a replay
@@ -537,6 +558,7 @@ let () =
           Alcotest.test_case "replay over a truncated trace" `Quick
             truncated_replay_case ] );
       ("rstep", arch_cases "reverse-step differential" timeline_case);
+      ("exit", arch_cases "negative exit status replays" negative_exit_case);
       ("rcontinue", arch_cases "reverse-continue differential" rcontinue_case);
       ( "rwatch",
         [ Alcotest.test_case "run back to last write" `Quick rwatch_case ] );
