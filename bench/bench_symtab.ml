@@ -239,29 +239,25 @@ let bench_queries ~arch : query_cell * query_cell * query_cell =
     the analysis pass on (the default) versus gated off.  The committed
     check_regress gate holds the byte overhead under 10%. *)
 let bench_validity ~arch : validity_cell =
-  let measure enabled =
-    let saved = !Ldb_cc.Validity.enabled in
-    Ldb_cc.Validity.enabled := enabled;
-    Fun.protect
-      ~finally:(fun () -> Ldb_cc.Validity.enabled := saved)
-      (fun () ->
-        let bytes = ref 0 and secs = ref 0.0 in
-        for _ = 1 to attach_iters do
-          let p = Host.launch ~paused:true ~arch sources in
-          let t, tg =
-            time (fun () ->
-                let d = Ldb.create () in
-                let tg =
-                  Ldb.connect d ~name:(Arch.name arch) ~loader_ps:p.Host.hp_loader_ps
-                    (Host.open_channel p)
-                in
-                Ldb.force_symbols d tg;
-                tg)
-          in
-          secs := !secs +. t;
-          bytes := Symtab.total_bytes tg.Ldb.tg_symtab
-        done;
-        (!bytes, !secs))
+  let measure validity =
+    let image = Ldb_link.Driver.build ~validity ~arch sources in
+    let bytes = ref 0 and secs = ref 0.0 in
+    for _ = 1 to attach_iters do
+      let p = Host.launch_image image in
+      let t, tg =
+        time (fun () ->
+            let d = Ldb.create () in
+            let tg =
+              Ldb.connect d ~name:(Arch.name arch) ~loader_ps:p.Host.hp_loader_ps
+                (Host.open_channel p)
+            in
+            Ldb.force_symbols d tg;
+            tg)
+      in
+      secs := !secs +. t;
+      bytes := Symtab.total_bytes tg.Ldb.tg_symtab
+    done;
+    (!bytes, !secs)
   in
   let bytes_plain, attach_plain = measure false in
   let bytes_ranges, attach_ranges = measure true in

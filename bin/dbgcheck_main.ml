@@ -138,15 +138,19 @@ let () =
   let check_sources sources =
     List.iter
       (fun arch ->
-        Ldb_cc.Irlint.mode := if !do_ir then `Warn else `Off;
-        ignore (Ldb_cc.Irlint.take ());
         let img, loader_ps =
-          try Ldb_link.Driver.build ~arch sources
+          try
+            if !do_ir then
+              List.iter
+                (fun (file, src) ->
+                  let ui = Ldb_cc.Compile.front ~arch ~file src in
+                  ir_findings := !ir_findings @ Ldb_cc.Irlint.check_unit ~file ui)
+                sources;
+            Ldb_link.Driver.build ~arch sources
           with Ldb_cc.Compile.Error m | Ldb_link.Link.Error m ->
             prerr_endline ("dbgcheck: " ^ m);
             exit 2
         in
-        ir_findings := !ir_findings @ Ldb_cc.Irlint.take ();
         findings := !findings @ D.check ~opts:!opts ~sources img loader_ps;
         if !do_core then begin
           (* dump the freshly loaded image and verify the dump a reader
@@ -166,10 +170,14 @@ let () =
   if !do_examples then List.iter check_sources example_sources;
   if !files <> [] then check_sources (List.map (fun f -> (f, read_file f)) !files);
   let kept = List.filter (fun (f : F.t) -> not (List.mem f.F.kind !ignored)) !findings in
+  (* the IR is checked once per target, and a unit's findings are the
+     same on every target: report each distinct one once, first seen first *)
   let ir_kept =
-    List.filter
-      (fun (f : Ldb_cc.Irlint.finding) -> not (List.mem f.Ldb_cc.Irlint.kind !ir_ignored))
-      !ir_findings
+    List.fold_left
+      (fun acc (f : Ldb_cc.Irlint.finding) ->
+        if List.mem f.Ldb_cc.Irlint.kind !ir_ignored || List.mem f acc then acc else f :: acc)
+      [] !ir_findings
+    |> List.rev
   in
   if !json then
     print_endline

@@ -299,53 +299,6 @@ let run_session ~arch ~sources =
     (String.length proc.Host.hp_image.Ldb_link.Link.i_code);
   repl d tg sess ~proc:(Some proc)
 
-(** Server demo: [n] sessions of one program through a single supervised
-    server, sharing the image cache.  Each session stops in main and
-    reports its frame; the session table and cache stats follow. *)
-let run_server_demo ~arch ~sources ~n =
-  let image = Host.build_image ~arch sources in
-  let sv = Server.create ~limits:{ Server.default_limits with Server.li_max_sessions = n } () in
-  (* the expression server lives a library above lib/ldb, so the
-     condition compiler is injected here, where both are in scope *)
-  let esess = Ldb_exprserver.Eval.start ~arch in
-  Server.set_cond_compiler sv (fun d tg ~addr cond ->
-      Ldb_exprserver.Eval.compile_condition d tg esess ~addr cond);
-  let ids =
-    List.init n (fun i ->
-        let p = Host.launch_image image in
-        match
-          Server.open_session sv
-            ~name:(Printf.sprintf "session-%d" i)
-            ~loader_ps:p.Host.hp_loader_ps (Host.open_channel p)
-        with
-        | Ok id -> id
-        | Error r ->
-            Printf.eprintf "ldb: open refused: %s\n" (Server.refusal_to_string r);
-            exit 1)
-  in
-  List.iter
-    (fun id ->
-      let run cmd =
-        match Server.exec sv id cmd with
-        | Ok r -> Server.reply_to_string r
-        | Error r -> Server.refusal_to_string r
-      in
-      ignore (run (Server.Break_function "main") : string);
-      ignore (run Server.Continue : string);
-      Printf.printf "session %d: %s\n" id (run Server.Where))
-    ids;
-  print_newline ();
-  print_string (Server.render_sessions sv);
-  let st = Server.stats sv in
-  Printf.printf
-    "opened %d, image cache %d hit%s / %d load%s, downs %d, failed %d\n"
-    st.Server.sv_opened st.Server.sv_cache_hits
-    (if st.Server.sv_cache_hits = 1 then "" else "s")
-    st.Server.sv_cache_misses
-    (if st.Server.sv_cache_misses = 1 then "" else "s")
-    st.Server.sv_downs st.Server.sv_failed;
-  List.iter (fun id -> Server.close_session ~kill:true sv id) ids
-
 (* --- the wire daemon and its scripted client -------------------------------- *)
 
 (** A Unix socket as an {!Evloop.io}: non-blocking reads (the loop polls),
@@ -673,13 +626,6 @@ let core_t =
            ~doc:"Examine a core dump post-mortem instead of running the program. \
                  The source files are still required to rebuild the symbol tables.")
 
-let serve_t =
-  Arg.(value & opt (some int) None
-       & info [ "serve" ] ~docv:"N"
-           ~doc:"Instead of one interactive session, run $(docv) sessions of the \
-                 program through one supervised debug server sharing an image \
-                 cache, and print the session table and server stats.")
-
 let listen_t =
   Arg.(value & opt (some string) None
        & info [ "listen" ] ~docv:"SOCKET"
@@ -697,7 +643,7 @@ let files_t =
   (* not non_empty: -connect needs no sources (the daemon has them) *)
   Arg.(value & pos_all file [] & info [] ~docv:"FILE.c" ~doc:"C source files to debug.")
 
-let main arch core serve listen connect files =
+let main arch core listen connect files =
   match connect with
   | Some path -> run_connect ~path
   | None -> (
@@ -707,11 +653,10 @@ let main arch core serve listen connect files =
       end;
       let sources = List.map (fun f -> (Filename.basename f, read_file f)) files in
       try
-        match (core, serve, listen) with
-        | Some core_path, _, _ -> run_core_session ~core_path ~sources
-        | None, _, Some path -> run_listen ~arch ~sources ~path
-        | None, Some n, None -> run_server_demo ~arch ~sources ~n
-        | None, None, None -> run_session ~arch ~sources
+        match (core, listen) with
+        | Some core_path, _ -> run_core_session ~core_path ~sources
+        | None, Some path -> run_listen ~arch ~sources ~path
+        | None, None -> run_session ~arch ~sources
       with
       | Ldb_cc.Compile.Error m -> Printf.eprintf "ldb: %s\n" m; exit 1
       | Ldb_link.Link.Error m -> Printf.eprintf "ldb: %s\n" m; exit 1)
@@ -719,17 +664,16 @@ let main arch core serve listen connect files =
 let cmd =
   let doc = "a retargetable source-level debugger for simulated targets" in
   Cmd.v (Cmd.info "ldb" ~doc)
-    Term.(const main $ arch_t $ core_t $ serve_t $ listen_t $ connect_t $ files_t)
+    Term.(const main $ arch_t $ core_t $ listen_t $ connect_t $ files_t)
 
 let () =
-  (* accept the traditional single-dash spellings: ldb -core FILE, -serve N,
+  (* accept the traditional single-dash spellings: ldb -core FILE,
      -listen SOCK, -connect SOCK *)
   let argv =
     Array.map
       (fun a ->
         match a with
         | "-core" -> "--core"
-        | "-serve" -> "--serve"
         | "-listen" -> "--listen"
         | "-connect" -> "--connect"
         | a -> a)

@@ -9,7 +9,8 @@
         -prelude    check the shared prelude itself
         -examples   compile the built-in example programs for every target
                     and check each emitted symbol table
-    Exit status is 1 when any finding survives the filters, 0 otherwise. *)
+    Exit status is 1 when any finding survives the filters or an example
+    fails to compile, 0 otherwise. *)
 
 module L = Ldb_pscheck.Lattice
 module C = Ldb_pscheck.Pscheck
@@ -58,12 +59,13 @@ let check_emitted ~deep findings_out =
     (fun arch ->
       List.iter
         (fun (file, src) ->
-          let saved = !Ldb_cc.Psemit.lint_enabled in
-          Ldb_cc.Psemit.lint_enabled := false;
           let o =
-            Fun.protect
-              ~finally:(fun () -> Ldb_cc.Psemit.lint_enabled := saved)
-              (fun () -> Ldb_cc.Compile.compile ~defer:false ~arch ~file src)
+            (* the compiler lints what it emits, so a table with findings
+               fails here, before this pass could report them *)
+            try Ldb_cc.Compile.compile ~defer:false ~arch ~file src
+            with Ldb_cc.Compile.Error m | Failure m ->
+              Printf.eprintf "pslint: %s@%s: %s\n" file (Ldb_machine.Arch.name arch) m;
+              exit 1
           in
           match o.Ldb_cc.Asm.o_ps with
           | None -> ()

@@ -9,23 +9,26 @@ open Ldb_machine
 
 exception Error of string
 
-let compile ?(debug = true) ?(defer = true) ?(compress = false) ?(optimize = true) ~(arch : Arch.t)
-    ~(file : string) (src : string) : Asm.t =
-  let target = Target.of_arch arch in
+(** The front end: parse and translate one unit to IR (with its debug
+    information under [~debug]).  [compile] continues from here; the IR
+    lint runs over it directly ([Irlint.check_unit ~file (front ...)]). *)
+let front ?(debug = true) ~(arch : Arch.t) ~(file : string) (src : string) : Sema.unit_ir =
+  let fail (m, (p : Lex.pos)) =
+    raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
+  in
   let ast =
     try Parse.parse_unit ~file ~arch src with
-    | Parse.Error (m, p) -> raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
-    | Lex.Error (m, p) -> raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
+    | Parse.Error (m, p) | Lex.Error (m, p) -> fail (m, p)
   in
-  let ui =
-    try Sema.translate ~arch ~debug ast
-    with Sema.Error (m, p) ->
-      raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
-  in
-  (try Irlint.run ~file ui
-   with Irlint.Failed fs ->
-     raise (Error (String.concat "\n" (List.map Irlint.finding_to_string fs))));
-  Validity.annotate_unit ui;
+  try Sema.translate ~arch ~debug ast with Sema.Error (m, p) -> fail (m, p)
+
+(** [~validity:false] skips the validity annotation pass (the
+    symbol-table bench measures what the ranges cost). *)
+let compile ?(debug = true) ?(defer = true) ?(compress = false) ?(optimize = true)
+    ?(validity = true) ~(arch : Arch.t) ~(file : string) (src : string) : Asm.t =
+  let target = Target.of_arch arch in
+  let ui = front ~debug ~arch ~file src in
+  if validity then Validity.annotate_unit ui;
   let unit_tag =
     String.map (fun c -> if c = '.' || c = '/' || c = '-' then '_' else c) file
   in

@@ -1,7 +1,9 @@
 (** IR-level dataflow lint (the compiler half of dbgcheck's static story).
 
-    Three checks over [Ir.stmt]/[Ir.exp], run after translation and before
-    code generation, all instances of the [Dataflow] framework:
+    Three checks over the translated IR of one unit ([Compile.front]),
+    all instances of the [Dataflow] framework.  [check_unit] returns the
+    findings; the compiler does not run it, its callers (dbgcheck, tests)
+    do:
 
     - {e definite assignment}: a read of a local that may happen before any
       write on some path (forward may-uninitialized analysis);
@@ -24,19 +26,17 @@
     universe, escape analysis, and bit-mask transfer functions are shared
     with [Validity] through [Dataflow]. *)
 
-type kind = Uninit_read | Dead_store | Unreachable | Truncated
+type kind = Uninit_read | Dead_store | Unreachable
 
 let kind_name = function
   | Uninit_read -> "uninit-read"
   | Dead_store -> "dead-store"
   | Unreachable -> "unreachable"
-  | Truncated -> "truncated"
 
 let kind_of_name = function
   | "uninit-read" -> Some Uninit_read
   | "dead-store" -> Some Dead_store
   | "unreachable" -> Some Unreachable
-  | "truncated" -> Some Truncated
   | _ -> None
 
 type finding = { kind : kind; file : string; line : int; col : int; msg : string }
@@ -49,40 +49,6 @@ let json_escape = Ldb_util.Json.escape
 let finding_to_json f =
   Printf.sprintf {|{"kind":"%s","file":"%s","line":%d,"col":%d,"msg":"%s"}|}
     (kind_name f.kind) (json_escape f.file) f.line f.col (json_escape f.msg)
-
-(** [`Fail] makes a finding a compile error, [`Warn] (the default) records
-    it in [collected] for the driver/CLI to report, [`Off] skips the pass. *)
-let mode : [ `Fail | `Warn | `Off ] ref = ref `Warn
-
-exception Failed of finding list
-
-let collected : finding list ref = ref []
-let collected_cap = 1000
-let dropped = ref 0
-
-(** Take (and clear) the findings accumulated under [`Warn].  If the cap
-    was hit, the last finding is an explicit [Truncated] marker carrying
-    the dropped count — silence is not an acceptable way to lose
-    findings. *)
-let take () =
-  let fs = List.rev !collected in
-  collected := [];
-  let d = !dropped in
-  dropped := 0;
-  if d = 0 then fs
-  else
-    fs
-    @ [
-        {
-          kind = Truncated;
-          file = "<irlint>";
-          line = 0;
-          col = 0;
-          msg =
-            Printf.sprintf "finding list truncated: %d finding(s) dropped after the first %d"
-              d collected_cap;
-        };
-      ]
 
 (* --- the analysis ------------------------------------------------------------- *)
 
@@ -200,22 +166,3 @@ let check_func ~(file : string) (fi : Sema.func_ir) : finding list =
 
 let check_unit ~(file : string) (ui : Sema.unit_ir) : finding list =
   List.concat_map (fun fi -> check_func ~file fi) ui.Sema.ui_funcs
-
-(** Compiler hook: honour [mode].  Called by [Compile.compile]. *)
-let run ~(file : string) (ui : Sema.unit_ir) : unit =
-  match !mode with
-  | `Off -> ()
-  | m -> (
-      match check_unit ~file ui with
-      | [] -> ()
-      | fs when m = `Fail -> raise (Failed fs)
-      | fs ->
-          let have = List.length !collected in
-          let room = collected_cap - have in
-          if room <= 0 then dropped := !dropped + List.length fs
-          else begin
-            let keep = List.filteri (fun i _ -> i < room) fs in
-            let lost = List.length fs - List.length keep in
-            dropped := !dropped + lost;
-            collected := List.rev_append keep !collected
-          end)

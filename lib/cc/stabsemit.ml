@@ -27,21 +27,11 @@ let n_valid = 0x90 (* per-variable validity ranges over stop indexes *)
     represented — a real limitation of the stabs format that the PostScript
     tables do not share.  Instead of silently emitting [line mod 65536]
     (which would send the debugger to a wildly wrong line), clamp to the
-    maximum and record a diagnostic; dbgcheck's differential pass reports
-    the clamp when the two views of the module disagree. *)
-let clamp_diagnostics : string list ref = ref []
-
+    nearest representable value; dbgcheck's differential pass reports the
+    clamp when the two views of the module disagree. *)
 let max_desc = 0xffff
 
-let clamp_desc ~what desc =
-  if desc >= 0 && desc <= max_desc then desc
-  else begin
-    clamp_diagnostics :=
-      Printf.sprintf "%s: line %d does not fit the u16 stabs desc field; clamped to %d" what
-        desc max_desc
-      :: !clamp_diagnostics;
-    if desc < 0 then 0 else max_desc
-  end
+let clamp_desc desc = if desc < 0 then 0 else min desc max_desc
 
 let add_record buf ~ty ~desc ~value ~str =
   let open Ldb_util.Codec in
@@ -85,7 +75,7 @@ let sym_stab_type (s : Sym.t) =
 
 let emit_sym buf arch (s : Sym.t) =
   add_record buf ~ty:(sym_stab_type s)
-    ~desc:(clamp_desc ~what:s.Sym.sym_name s.Sym.spos.Lex.line)
+    ~desc:(clamp_desc s.Sym.spos.Lex.line)
     ~value:(sym_value s)
     ~str:(s.Sym.sym_name ^ ":" ^ type_code arch s.Sym.sym_ty)
 
@@ -114,7 +104,7 @@ let emit_unit (ud : Sym.unit_debug) : string =
           in
           chain sp.Sym.sp_scope;
           add_record buf ~ty:n_sline
-            ~desc:(clamp_desc ~what:fd.Sym.fd_label sp.Sym.sp_pos.Lex.line)
+            ~desc:(clamp_desc sp.Sym.sp_pos.Lex.line)
             ~value:sp.Sym.sp_anchor ~str:"")
         fd.Sym.fd_stops;
       (* compiler-proven validity ranges, one n_valid record per tracked

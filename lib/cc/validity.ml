@@ -33,10 +33,6 @@ type fact = Uninit | Valid | Dead
 
 let fact_code = function Uninit -> 0 | Valid -> 1 | Dead -> 2
 
-(** Gates the annotation pass in [Compile.compile]; the symbol-table
-    bench toggles it to measure what the ranges cost. *)
-let enabled = ref true
-
 (** Compute validity ranges for one function: each tracked local paired
     with its compressed [(lo, hi, fact-code)] ranges covering stop
     indexes [0, nstops).  Pure — [annotate] is the writer. *)
@@ -106,4 +102,4 @@ let annotate (fi : Sema.func_ir) : unit =
   List.iter (fun ((s : Sym.t), ranges) -> s.Sym.validity <- ranges) (compute fi)
 
 let annotate_unit (ui : Sema.unit_ir) : unit =
-  if !enabled then List.iter annotate ui.Sema.ui_funcs
+  List.iter annotate ui.Sema.ui_funcs

@@ -1043,10 +1043,7 @@ let check_validity_recompute cx (sources : (string * string) list) =
       | None -> ()
       | Some src -> (
           match
-            try
-              let ast = Cc.Parse.parse_unit ~file:uv.uv_file ~arch:cx.arch src in
-              Some (Cc.Sema.translate ~arch:cx.arch ~debug:true ast)
-            with _ -> None
+            try Some (Cc.Compile.front ~arch:cx.arch ~file:uv.uv_file src) with _ -> None
           with
           | None ->
               report cx F.Validity_unsound uv.uv_file
@@ -1291,9 +1288,3 @@ let check ?(opts = all_checks) ?tdesc ?(sources = []) (img : Link.image)
         { F.kind = F.Table_error; target = Arch.name arch; where = "loader-ps"; msg = m }
         :: !out);
   List.rev !out
-
-(** Install dbgcheck as the linker driver's post-link verifier. *)
-let install ~(mode : [ `Fail | `Warn | `Off ]) () =
-  Ldb_link.Driver.dbgcheck_mode := mode;
-  Ldb_link.Driver.dbgcheck_hook :=
-    Some (fun img loader_ps -> List.map F.to_string (check img loader_ps))

@@ -209,24 +209,36 @@ let check_anchors (tg : target) =
             fail "symbol table does not match object code: anchor %s missing" name)
         (V.to_arr anchors)
 
-(** Pull the whole serialized core dump across the wire in
-    {!Proto.max_core_chunk}-sized windows. *)
-let fetch_core_raw (tr : Transport.t) : string =
+(** Pull a whole serialized blob (core dump, trace) across the wire in the
+    nub's bounded windows: [request offset] asks for the window at
+    [offset], [window] projects a reply onto its [(total, offset, chunk)],
+    and [label], [missing] and [op] name the blob and the request in
+    errors. *)
+let pull_windows (tr : Transport.t) ~label ~missing ~op ~request ~window : string =
   let buf = Buffer.create 4096 in
   let rec go offset =
-    match Transport.rpc tr (Proto.Dump { offset }) with
-    | Proto.Core_chunk { total; offset = off; chunk } ->
-        if off <> offset then
-          fail "core transfer out of sync: wanted offset %d, nub sent %d" offset off;
-        if String.length chunk = 0 && offset < total then
-          fail "core transfer stalled at offset %d of %d" offset total;
-        Buffer.add_string buf chunk;
-        let next = offset + String.length chunk in
-        if next >= total then Buffer.contents buf else go next
-    | Proto.Nub_error m -> fail "no core dump: %s" m
-    | r -> fail "unexpected reply to Dump: %s" (Fmt.str "%a" Proto.pp_reply r)
+    match Transport.rpc tr (request offset) with
+    | Proto.Nub_error m -> fail "no %s: %s" missing m
+    | r -> (
+        match window r with
+        | Some (total, off, chunk) ->
+            if off <> offset then
+              fail "%s transfer out of sync: wanted offset %d, nub sent %d" label offset off;
+            if String.length chunk = 0 && offset < total then
+              fail "%s transfer stalled at offset %d of %d" label offset total;
+            Buffer.add_string buf chunk;
+            let next = offset + String.length chunk in
+            if next >= total then Buffer.contents buf else go next
+        | None -> fail "unexpected reply to %s: %s" op (Fmt.str "%a" Proto.pp_reply r))
   in
   go 0
+
+(** The whole serialized core dump, in {!Proto.max_core_chunk} windows. *)
+let fetch_core_raw (tr : Transport.t) : string =
+  pull_windows tr ~label:"core" ~missing:"core dump" ~op:"Dump"
+    ~request:(fun offset -> Proto.Dump { offset })
+    ~window:(function
+      | Proto.Core_chunk { total; offset; chunk } -> Some (total, offset, chunk) | _ -> None)
 
 (** Connect to a nub over [chan] using an already-loaded [image] — the
     server's path, where many sessions debugging the same program share
@@ -984,24 +996,13 @@ let start_record (tg : target) ~(spacing : int) : unit =
   | Proto.Nub_error m -> fail "cannot record: %s" m
   | r -> fail "unexpected reply to Record: %s" (Fmt.str "%a" Proto.pp_reply r)
 
-(** Pull the whole serialized execution trace across the wire in
-    {!Proto.max_trace_chunk}-sized windows, like {!fetch_core_raw}. *)
+(** The whole serialized execution trace, in {!Proto.max_trace_chunk}
+    windows. *)
 let fetch_trace_raw (tr : Transport.t) : string =
-  let buf = Buffer.create 4096 in
-  let rec go offset =
-    match Transport.rpc tr (Proto.Fetch_trace { offset }) with
-    | Proto.Trace_chunk { total; offset = off; chunk } ->
-        if off <> offset then
-          fail "trace transfer out of sync: wanted offset %d, nub sent %d" offset off;
-        if String.length chunk = 0 && offset < total then
-          fail "trace transfer stalled at offset %d of %d" offset total;
-        Buffer.add_string buf chunk;
-        let next = offset + String.length chunk in
-        if next >= total then Buffer.contents buf else go next
-    | Proto.Nub_error m -> fail "no trace: %s" m
-    | r -> fail "unexpected reply to Fetch_trace: %s" (Fmt.str "%a" Proto.pp_reply r)
-  in
-  go 0
+  pull_windows tr ~label:"trace" ~missing:"trace" ~op:"Fetch_trace"
+    ~request:(fun offset -> Proto.Fetch_trace { offset })
+    ~window:(function
+      | Proto.Trace_chunk { total; offset; chunk } -> Some (total, offset, chunk) | _ -> None)
 
 (** The serialized trace of the recording in progress on the target's
     nub, for writing to a file or opening a replay session. *)

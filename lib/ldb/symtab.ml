@@ -23,16 +23,6 @@ module I = Ldb_pscript.Interp
 
 exception Error of string
 
-(** Static pre-execution check (pslint) of deferred unit bodies: the body
-    string is verified before it is tokenized and run for the first time.
-    [`Fail] refuses to force a unit with findings, [`Warn] records them in
-    [lint_warnings] and forces anyway, [`Off] skips the check. *)
-let lint_mode : [ `Fail | `Warn | `Off ] ref = ref `Fail
-
-(** Test/bench observation point: called with the unit's source file name
-    immediately before its body is executed. *)
-let force_hook : (string -> unit) ref = ref (fun _ -> ())
-
 (* --- stopping points --------------------------------------------------------- *)
 
 type stop = {
@@ -69,7 +59,9 @@ type t = {
                                      accumulated in reverse (no quadratic
                                      list append) *)
   mutable externs : (unit_info * V.dict) list;  (** per-unit externs, forced *)
-  mutable lint_warnings_rev : string list;  (** findings kept under [`Warn] *)
+  mutable force_attempts : int;
+      (** unit bodies executed so far, failed ones included (tests and
+          benches observe forcing through it) *)
   mutable lint_env : Ldb_pscheck.Pscheck.env option;
       (** what the debugger binds before a body runs: built by the first
           check, each check runs against a copy, and dropped once every
@@ -156,7 +148,7 @@ let make ~(interp : I.t) ~(symtab_dict : V.dict) : t =
     units;
     procs_rev = [];
     externs = [];
-    lint_warnings_rev = [];
+    force_attempts = 0;
     lint_env = None;
     by_name = Hashtbl.create 64;
     by_label = Hashtbl.create 64;
@@ -269,21 +261,14 @@ let lint_findings (st : t) ~file src scanned =
       P.check_nodes ~env:(P.copy_env env) ~deep:true ~name tree
   | Error se -> [ P.syntax_finding ~name se ]
 
-(** Verify a deferred body before its first execution: [`Fail] refuses
-    a body with findings, [`Warn] records them. *)
+(** Static pre-execution check (pslint) of a deferred body: a body with
+    findings is refused before it is run for the first time. *)
 let lint_body (st : t) ~file src scanned =
-  match !lint_mode with
-  | `Off -> ()
-  | mode -> (
-      match lint_findings st ~file src scanned with
-      | [] -> ()
-      | fs ->
-          let msgs = List.map Ldb_pscheck.Lattice.finding_to_string fs in
-          if mode = `Fail then
-            raise
-              (Error
-                 (Printf.sprintf "unit %s fails pslint:\n%s" file (String.concat "\n" msgs)))
-          else st.lint_warnings_rev <- List.rev_append msgs st.lint_warnings_rev)
+  match lint_findings st ~file src scanned with
+  | [] -> ()
+  | fs ->
+      let msgs = List.map Ldb_pscheck.Lattice.finding_to_string fs in
+      raise (Error (Printf.sprintf "unit %s fails pslint:\n%s" file (String.concat "\n" msgs)))
 
 (** Decode a transfer-encoded body (LZW-compressed deferred string),
     memoizing the decoded text so retries and the tokenization cache see
@@ -343,10 +328,10 @@ let force_unit_info (st : t) (u : unit_info) =
              already procedures were checked when they were emitted *)
           let scanned = I.scan_string st.interp ~name:"%string" src in
           lint_body st ~file:u.u_file src scanned;
-          !force_hook u.u_file;
+          st.force_attempts <- st.force_attempts + 1;
           I.exec_scanned st.interp ~name:"%string" scanned
       | _ ->
-          !force_hook u.u_file;
+          st.force_attempts <- st.force_attempts + 1;
           I.exec_value st.interp (V.cvx body));
       match I.lookup st.interp ("UNITRESULT$" ^ u.u_tag) with
       | Some r -> V.to_dict r
@@ -411,8 +396,8 @@ let forced_bytes (st : t) =
     forcing: the units dictionary names them). *)
 let source_files (st : t) = List.map (fun u -> u.u_file) st.units
 
-(** Lint findings recorded under [`Warn], in discovery order. *)
-let lint_warnings (st : t) = List.rev st.lint_warnings_rev
+(** How many unit bodies this table has executed, failed ones included. *)
+let force_attempts (st : t) = st.force_attempts
 
 (** All procedure entries, forcing the whole table; the linear-scan
     baseline for benches and differential tests. *)

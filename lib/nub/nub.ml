@@ -332,6 +332,14 @@ let send_reply n (ep : Chan.endpoint) (r : Proto.reply) =
         else keep);
   try Chan.send ep sealed with Chan.Disconnected -> ()
 
+(** Serve the window of [blob] (a core dump, a trace) at [offset]: at most
+    [max] bytes, built into a reply by [reply total chunk]. *)
+let serve_window n ep ~what ~max blob offset reply =
+  let total = String.length blob in
+  if offset < 0 || offset > total then
+    send_reply n ep (Proto.Nub_error (Printf.sprintf "nub: %s offset out of range" what))
+  else send_reply n ep (reply total (String.sub blob offset (min max (total - offset))))
+
 let notify n =
   match (n.conn, n.proc.Proc.status) with
   | Some ep, Proc.Stopped (s, code) when Chan.is_connected ep && not n.notified ->
@@ -506,13 +514,8 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
           in
           send_reply n ep (Proto.Nub_error msg)
       | Some dump ->
-          let total = String.length dump in
-          if offset < 0 || offset > total then
-            send_reply n ep (Proto.Nub_error "nub: dump offset out of range")
-          else
-            let len = min Proto.max_core_chunk (total - offset) in
-            send_reply n ep
-              (Proto.Core_chunk { total; offset; chunk = String.sub dump offset len }))
+          serve_window n ep ~what:"dump" ~max:Proto.max_core_chunk dump offset
+            (fun total chunk -> Proto.Core_chunk { total; offset; chunk }))
   | Proto.Set_cond { addr; prog } -> (
       (* never trust the peer: decode totally, then re-verify.  A program
          the verifier rejects is refused before it can ever run. *)
@@ -563,13 +566,8 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
                 rc.rc_cache <- Some (rc.rc_nev, s);
                 s
           in
-          let total = String.length dump in
-          if offset < 0 || offset > total then
-            send_reply n ep (Proto.Nub_error "nub: trace offset out of range")
-          else
-            let len = min Proto.max_trace_chunk (total - offset) in
-            send_reply n ep
-              (Proto.Trace_chunk { total; offset; chunk = String.sub dump offset len }))
+          serve_window n ep ~what:"trace" ~max:Proto.max_trace_chunk dump offset
+            (fun total chunk -> Proto.Trace_chunk { total; offset; chunk }))
 
 (** Serve one incoming frame, enforcing at-most-once execution: a frame
     numbered at or below the last served request is a duplicate of a

@@ -68,27 +68,22 @@ int main(void)
 }
 |}
 
-(** Compile real programs for every target (with the emit-time gate off so
-    we exercise the checker here, on its own) and lint every emitted table. *)
+(** Compile real programs for every target and lint every emitted table
+    here, on its own (the compiler's emit-time check ran too). *)
 let emitted_tables () =
-  let saved = !Ldb_cc.Psemit.lint_enabled in
-  Ldb_cc.Psemit.lint_enabled := false;
-  Fun.protect
-    ~finally:(fun () -> Ldb_cc.Psemit.lint_enabled := saved)
-    (fun () ->
-      List.concat_map
-        (fun arch ->
-          List.filter_map
-            (fun (file, src) ->
-              let o = Ldb_cc.Compile.compile ~defer:false ~arch ~file src in
-              match o.Ldb_cc.Asm.o_ps with
-              | None -> None
-              | Some ps ->
-                  Some
-                    ( Printf.sprintf "%s@%s" file (Ldb_machine.Arch.name arch),
-                      ps.Ldb_cc.Asm.pp_defs ))
-            [ ("fib.c", Testkit.fib_c); ("structs.c", structs_c) ])
-        Ldb_machine.Arch.all)
+  List.concat_map
+    (fun arch ->
+      List.filter_map
+        (fun (file, src) ->
+          let o = Ldb_cc.Compile.compile ~defer:false ~arch ~file src in
+          match o.Ldb_cc.Asm.o_ps with
+          | None -> None
+          | Some ps ->
+              Some
+                ( Printf.sprintf "%s@%s" file (Ldb_machine.Arch.name arch),
+                  ps.Ldb_cc.Asm.pp_defs ))
+        [ ("fib.c", Testkit.fib_c); ("structs.c", structs_c) ])
+    Ldb_machine.Arch.all
 
 let test_emitted_clean () =
   let tables = emitted_tables () in

@@ -99,14 +99,9 @@ let test_image_cache_shared () =
      another force *)
   ignore (ok "break afun" (Server.exec sv id1 (Server.Break_function "afun")));
   check Alcotest.(list string) "a.c forced once" [ "a.c" ] (Symtab.forced_units st1);
-  let saved = !Symtab.force_hook in
-  let forces = ref 0 in
-  Symtab.force_hook := (fun _ -> incr forces);
-  Fun.protect
-    ~finally:(fun () -> Symtab.force_hook := saved)
-    (fun () ->
-      ignore (ok "break afun again" (Server.exec sv id2 (Server.Break_function "afun")));
-      check Alcotest.int "no re-force for the second session" 0 !forces)
+  let forces = Symtab.force_attempts st1 in
+  ignore (ok "break afun again" (Server.exec sv id2 (Server.Break_function "afun")));
+  check Alcotest.int "no re-force for the second session" forces (Symtab.force_attempts st1)
 
 (** A unit quarantined in the shared image degrades exactly the queries
     that touch it, in every session, without re-forcing — and everything
@@ -119,35 +114,31 @@ let test_quarantine_shared () =
   let st = (session_exn sv id1).Server.ss_tg.Ldb.tg_symtab in
   (* poison b.c as a failed force would *)
   Hashtbl.replace st.Symtab.quarantined "b.c" "poisoned by test";
-  let saved = !Symtab.force_hook in
-  let forced = ref [] in
-  Symtab.force_hook := (fun f -> forced := f :: !forced);
-  Fun.protect
-    ~finally:(fun () -> Symtab.force_hook := saved)
-    (fun () ->
-      (* the poisoned unit fails typed in both sessions... *)
-      List.iter
-        (fun id ->
-          match Server.exec sv id (Server.Break_function "bfun") with
-          | Error (Server.Failed _) -> ()
-          | Ok r ->
-              Alcotest.failf "session %d: break into a quarantined unit gave %s" id
-                (Server.reply_to_string r)
-          | Error r ->
-              Alcotest.failf "session %d: wrong refusal %s" id
-                (Server.refusal_to_string r))
-        [ id1; id2 ];
-      (* ... was never re-executed ... *)
-      Alcotest.(check bool) "b.c never forced" true
-        (not (List.mem "b.c" !forced));
-      (* ... both sessions stay healthy and the rest of the table works *)
-      List.iter
-        (fun id ->
-          (match (session_exn sv id).Server.ss_state with
-          | Server.Healthy -> ()
-          | s -> Alcotest.failf "session %d degraded to %s" id (Server.state_name s));
-          ignore (ok "break afun" (Server.exec sv id (Server.Break_function "afun"))))
-        [ id1; id2 ])
+  (* body runs that forced nothing: a re-executed poisoned body would be one *)
+  let failed_runs () = Symtab.force_attempts st - List.length (Symtab.forced_units st) in
+  let failed = failed_runs () in
+  (* the poisoned unit fails typed in both sessions... *)
+  List.iter
+    (fun id ->
+      match Server.exec sv id (Server.Break_function "bfun") with
+      | Error (Server.Failed _) -> ()
+      | Ok r ->
+          Alcotest.failf "session %d: break into a quarantined unit gave %s" id
+            (Server.reply_to_string r)
+      | Error r ->
+          Alcotest.failf "session %d: wrong refusal %s" id (Server.refusal_to_string r))
+    [ id1; id2 ];
+  (* ... was never re-executed ... *)
+  check Alcotest.int "b.c never forced" failed (failed_runs ());
+  Alcotest.(check bool) "b.c not latched" false (List.mem "b.c" (Symtab.forced_units st));
+  (* ... both sessions stay healthy and the rest of the table works *)
+  List.iter
+    (fun id ->
+      (match (session_exn sv id).Server.ss_state with
+      | Server.Healthy -> ()
+      | s -> Alcotest.failf "session %d degraded to %s" id (Server.state_name s));
+      ignore (ok "break afun" (Server.exec sv id (Server.Break_function "afun"))))
+    [ id1; id2 ]
 
 (* --- typed failure, typed refusal -------------------------------------------- *)
 

@@ -46,59 +46,48 @@ int bfun(int x)
 let two_unit_session ?compress ~arch () =
   Testkit.debug_session ?compress ~arch [ ("a.c", a_c); ("b.c", b_c) ]
 
-let with_force_log f =
-  let saved = !Symtab.force_hook in
-  let log = ref [] in
-  Symtab.force_hook := (fun file -> log := file :: !log);
-  Fun.protect ~finally:(fun () -> Symtab.force_hook := saved) (fun () -> f log)
-
 (* --- laziness ------------------------------------------------------------------ *)
 
 let test_lazy_attach () =
   List.iter
     (fun arch ->
-      with_force_log (fun log ->
-          let s = two_unit_session ~arch () in
-          let st = s.Testkit.tg.Ldb.tg_symtab in
-          (* attach forces nothing *)
-          check Alcotest.(list string) (Arch.name arch ^ " attach") []
-            (Symtab.forced_units st);
-          check Alcotest.int (Arch.name arch ^ " attach bytes") 0 (Symtab.forced_bytes st);
-          (* source files are known without forcing *)
-          check Alcotest.(list string) (Arch.name arch ^ " files") [ "a.c"; "b.c" ]
-            (Symtab.source_files st);
-          (* a breakpoint in afun forces a.c only *)
-          ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "afun" : int);
-          check Alcotest.(list string) (Arch.name arch ^ " one unit forced") [ "a.c" ]
-            (Symtab.forced_units st);
-          check Alcotest.(list string) (Arch.name arch ^ " hook saw a.c only") [ "a.c" ]
-            !log;
-          Alcotest.(check bool) (Arch.name arch ^ " partial bytes") true
-            (Symtab.forced_bytes st < Symtab.total_bytes st);
-          (* a query into b.c forces exactly the other unit *)
-          ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bfun" : int);
-          check Alcotest.(list string) (Arch.name arch ^ " both forced") [ "a.c"; "b.c" ]
-            (Symtab.forced_units st);
-          check Alcotest.(list string) (Arch.name arch ^ " hook order") [ "b.c"; "a.c" ]
-            !log))
+      let s = two_unit_session ~arch () in
+      let st = s.Testkit.tg.Ldb.tg_symtab in
+      (* attach forces nothing *)
+      check Alcotest.(list string) (Arch.name arch ^ " attach") [] (Symtab.forced_units st);
+      check Alcotest.int (Arch.name arch ^ " attach bytes") 0 (Symtab.forced_bytes st);
+      check Alcotest.int (Arch.name arch ^ " attach runs no body") 0 (Symtab.force_attempts st);
+      (* source files are known without forcing *)
+      check Alcotest.(list string) (Arch.name arch ^ " files") [ "a.c"; "b.c" ]
+        (Symtab.source_files st);
+      (* a breakpoint in afun forces a.c only *)
+      ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "afun" : int);
+      check Alcotest.(list string) (Arch.name arch ^ " one unit forced") [ "a.c" ]
+        (Symtab.forced_units st);
+      check Alcotest.int (Arch.name arch ^ " one body run") 1 (Symtab.force_attempts st);
+      Alcotest.(check bool) (Arch.name arch ^ " partial bytes") true
+        (Symtab.forced_bytes st < Symtab.total_bytes st);
+      (* a query into b.c forces exactly the other unit *)
+      ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bfun" : int);
+      check Alcotest.(list string) (Arch.name arch ^ " both forced") [ "a.c"; "b.c" ]
+        (Symtab.forced_units st);
+      check Alcotest.int (Arch.name arch ^ " one more body run") 2 (Symtab.force_attempts st))
     Arch.all
 
 let test_line_queries_by_file () =
   let arch = Arch.Mips in
-  with_force_log (fun log ->
-      let s = two_unit_session ~arch () in
-      let st = s.Testkit.tg.Ldb.tg_symtab in
-      (* line 7 exists in both units; restricting to b.c forces only b.c *)
-      let addrs = Ldb.break_line ~file:"b.c" s.Testkit.d s.Testkit.tg ~line:7 in
-      Alcotest.(check bool) "stops found" true (addrs <> []);
-      check Alcotest.(list string) "only b.c forced" [ "b.c" ] (Symtab.forced_units st);
-      check Alcotest.(list string) "hook" [ "b.c" ] !log;
-      (* the unrestricted query forces the remaining covering unit and
-         returns stops from both *)
-      let all = Ldb.break_line s.Testkit.d s.Testkit.tg ~line:7 in
-      Alcotest.(check bool) "more stops across units" true
-        (List.length all >= List.length addrs);
-      check Alcotest.(list string) "both forced" [ "a.c"; "b.c" ] (Symtab.forced_units st))
+  let s = two_unit_session ~arch () in
+  let st = s.Testkit.tg.Ldb.tg_symtab in
+  (* line 7 exists in both units; restricting to b.c forces only b.c *)
+  let addrs = Ldb.break_line ~file:"b.c" s.Testkit.d s.Testkit.tg ~line:7 in
+  Alcotest.(check bool) "stops found" true (addrs <> []);
+  check Alcotest.(list string) "only b.c forced" [ "b.c" ] (Symtab.forced_units st);
+  check Alcotest.int "one body run" 1 (Symtab.force_attempts st);
+  (* the unrestricted query forces the remaining covering unit and
+     returns stops from both *)
+  let all = Ldb.break_line s.Testkit.d s.Testkit.tg ~line:7 in
+  Alcotest.(check bool) "more stops across units" true (List.length all >= List.length addrs);
+  check Alcotest.(list string) "both forced" [ "a.c"; "b.c" ] (Symtab.forced_units st)
 
 let test_stepping_forces_one_unit () =
   (* the single-step loop queries stop addresses constantly; make sure the
@@ -185,115 +174,105 @@ let crafted_symtab ~units_ps =
   in
   (interp, Symtab.make ~interp ~symtab_dict)
 
-let with_lint_off f =
-  let saved = !Symtab.lint_mode in
-  Symtab.lint_mode := `Off;
-  Fun.protect ~finally:(fun () -> Symtab.lint_mode := saved) f
+(* [/RepairXYZ load] passes pslint (a name looked up at run time) but fails
+   when the body runs, until [repair] binds the name: the quarantine and
+   retry paths work with the load-time check on *)
+let repair interp = I.run_string interp "/RepairXYZ 0 def"
 
 let test_failing_unit_is_retryable () =
-  with_lint_off (fun () ->
-      let body = "NoSuchOperatorXYZ /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
-      let interp, st =
-        crafted_symtab
-          ~units_ps:
-            (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >>" (Ldb_cc.Psemit.ps_escape body))
-      in
-      (* the body raises: the unit must not latch as forced *)
-      (match Symtab.force_unit st ~file:"u1.c" with
-      | () -> Alcotest.fail "force of a broken unit succeeded"
-      | exception _ -> ());
-      check Alcotest.(list string) "still unforced" [] (Symtab.forced_units st);
-      (* the table stays usable: a second failure is identical *)
-      (match Symtab.force_all st with
-      | () -> Alcotest.fail "force_all of a broken unit succeeded"
-      | exception _ -> ());
-      (* repair the environment and retry the same unit *)
-      I.run_string interp "/NoSuchOperatorXYZ { } def";
-      Symtab.force_unit st ~file:"u1.c";
-      check Alcotest.(list string) "forced after repair" [ "u1.c" ] (Symtab.forced_units st);
-      Alcotest.(check bool) "lookup works after repair" true
-        (Symtab.proc_by_name st "p1" <> None))
+  let body = "/RepairXYZ load pop /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
+  let interp, st =
+    crafted_symtab
+      ~units_ps:(Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >>" (Ldb_cc.Psemit.ps_escape body))
+  in
+  (* the body raises: the unit must not latch as forced *)
+  (match Symtab.force_unit st ~file:"u1.c" with
+  | () -> Alcotest.fail "force of a broken unit succeeded"
+  | exception _ -> ());
+  check Alcotest.(list string) "still unforced" [] (Symtab.forced_units st);
+  check Alcotest.int "the body ran" 1 (Symtab.force_attempts st);
+  (* the table stays usable: a second failure is identical *)
+  (match Symtab.force_all st with
+  | () -> Alcotest.fail "force_all of a broken unit succeeded"
+  | exception _ -> ());
+  (* repair the environment and retry the same unit *)
+  repair interp;
+  Symtab.force_unit st ~file:"u1.c";
+  check Alcotest.(list string) "forced after repair" [ "u1.c" ] (Symtab.forced_units st);
+  Alcotest.(check bool) "lookup works after repair" true (Symtab.proc_by_name st "p1" <> None)
 
 (** A unit whose body fails is {e quarantined}: demand-driven searches
     route around it and never re-execute the broken body, listing names
     the unit and why, and only an explicit per-unit force (the repair
     path) lifts the quarantine. *)
 let test_quarantine_routes_around () =
-  with_lint_off (fun () ->
-      let bad = "NoSuchOperatorABC /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
-      let good = "/UNITRESULT$u2 << /procs [ << /name (p2) >> ] >> def" in
-      let interp, st =
-        crafted_symtab
-          ~units_ps:
-            (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >> (u2.c) << /body (%s) /tag (u2) >>"
-               (Ldb_cc.Psemit.ps_escape bad) (Ldb_cc.Psemit.ps_escape good))
-      in
-      with_force_log (fun log ->
-          (* an unhinted search sweeps the units: u1 breaks (and is
-             quarantined), but the search routes around it and finds p2 *)
-          Alcotest.(check bool) "p2 found despite broken u1" true
-            (Symtab.proc_by_name st "p2" <> None);
-          check Alcotest.(list string) "only u2 latched" [ "u2.c" ]
-            (Symtab.forced_units st);
-          (match Symtab.quarantined_units st with
-          | [ ("u1.c", reason) ] ->
-              Alcotest.(check bool) "failure reason recorded" true (reason <> "")
-          | q ->
-              Alcotest.failf "expected u1.c quarantined, got [%s]"
-                (String.concat "; " (List.map fst q)));
-          let forces_after_first = List.length !log in
-          (* a second sweep must not re-execute the broken body *)
-          Alcotest.(check bool) "p1 not found" true (Symtab.proc_by_name st "p1" = None);
-          check Alcotest.int "quarantined unit not re-forced" forces_after_first
-            (List.length !log);
-          (* line queries degrade to the units that work, typed-ly *)
-          (match Symtab.stops_at_line st ~file:"u1.c" ~line:1 with
-          | _ -> Alcotest.fail "line query into a quarantined unit succeeded"
-          | exception Symtab.Error m ->
-              Alcotest.(check bool) "error names the quarantine" true
-                (let has_sub s sub =
-                   let n = String.length sub and h = String.length s in
-                   let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
-                   n = 0 || go 0
-                 in
-                 has_sub m "quarantined"));
-          (* repair the environment; the explicit per-unit force lifts the
-             quarantine and the unit joins the table *)
-          I.run_string interp "/NoSuchOperatorABC { } def";
-          Symtab.force_unit st ~file:"u1.c";
-          check Alcotest.(list (pair string string)) "quarantine lifted" []
-            (Symtab.quarantined_units st);
-          Alcotest.(check bool) "p1 found after repair" true
-            (Symtab.proc_by_name st "p1" <> None)))
+  let bad = "/RepairXYZ load pop /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
+  let good = "/UNITRESULT$u2 << /procs [ << /name (p2) >> ] >> def" in
+  let interp, st =
+    crafted_symtab
+      ~units_ps:
+        (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >> (u2.c) << /body (%s) /tag (u2) >>"
+           (Ldb_cc.Psemit.ps_escape bad) (Ldb_cc.Psemit.ps_escape good))
+  in
+  (* an unhinted search sweeps the units: u1 breaks (and is
+     quarantined), but the search routes around it and finds p2 *)
+  Alcotest.(check bool) "p2 found despite broken u1" true (Symtab.proc_by_name st "p2" <> None);
+  check Alcotest.(list string) "only u2 latched" [ "u2.c" ] (Symtab.forced_units st);
+  (match Symtab.quarantined_units st with
+  | [ ("u1.c", reason) ] -> Alcotest.(check bool) "failure reason recorded" true (reason <> "")
+  | q ->
+      Alcotest.failf "expected u1.c quarantined, got [%s]" (String.concat "; " (List.map fst q)));
+  let forces_after_first = Symtab.force_attempts st in
+  check Alcotest.int "both bodies ran once" 2 forces_after_first;
+  (* a second sweep must not re-execute the broken body *)
+  Alcotest.(check bool) "p1 not found" true (Symtab.proc_by_name st "p1" = None);
+  check Alcotest.int "quarantined unit not re-forced" forces_after_first
+    (Symtab.force_attempts st);
+  (* line queries degrade to the units that work, typed-ly *)
+  (match Symtab.stops_at_line st ~file:"u1.c" ~line:1 with
+  | _ -> Alcotest.fail "line query into a quarantined unit succeeded"
+  | exception Symtab.Error m ->
+      Alcotest.(check bool) "error names the quarantine" true
+        (let has_sub s sub =
+           let n = String.length sub and h = String.length s in
+           let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
+           n = 0 || go 0
+         in
+         has_sub m "quarantined"));
+  (* repair the environment; the explicit per-unit force lifts the
+     quarantine and the unit joins the table *)
+  repair interp;
+  Symtab.force_unit st ~file:"u1.c";
+  check Alcotest.(list (pair string string)) "quarantine lifted" [] (Symtab.quarantined_units st);
+  Alcotest.(check bool) "p1 found after repair" true (Symtab.proc_by_name st "p1" <> None)
 
 (* --- many units ----------------------------------------------------------------- *)
 
 let test_many_units () =
-  with_lint_off (fun () ->
-      let n = 40 in
-      let buf = Buffer.create 4096 in
-      for i = 0 to n - 1 do
-        let body =
-          Printf.sprintf "/UNITRESULT$u%02d << /procs [ << /name (p%02d) >> ] >> def" i i
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "(u%02d.c) << /body (%s) /tag (u%02d) >> " i
-             (Ldb_cc.Psemit.ps_escape body) i)
-      done;
-      let _, st = crafted_symtab ~units_ps:(Buffer.contents buf) in
-      check Alcotest.int "unit count" n (Symtab.unit_count st);
-      let procs = Symtab.procs st in
-      check Alcotest.int "all procs collected" n (List.length procs);
-      (* unit order (sorted by file) is preserved in the accumulated list *)
-      check
-        Alcotest.(list string)
-        "proc order"
-        (List.init n (Printf.sprintf "p%02d"))
-        (List.map Symtab.entry_name procs);
-      (* forcing again must not duplicate *)
-      Symtab.force_all st;
-      check Alcotest.int "idempotent" n (List.length (Symtab.procs st));
-      Alcotest.(check bool) "indexed lookup" true (Symtab.proc_by_name st "p27" <> None))
+  let n = 40 in
+  let buf = Buffer.create 4096 in
+  for i = 0 to n - 1 do
+    let body =
+      Printf.sprintf "/UNITRESULT$u%02d << /procs [ << /name (p%02d) >> ] >> def" i i
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "(u%02d.c) << /body (%s) /tag (u%02d) >> " i
+         (Ldb_cc.Psemit.ps_escape body) i)
+  done;
+  let _, st = crafted_symtab ~units_ps:(Buffer.contents buf) in
+  check Alcotest.int "unit count" n (Symtab.unit_count st);
+  let procs = Symtab.procs st in
+  check Alcotest.int "all procs collected" n (List.length procs);
+  (* unit order (sorted by file) is preserved in the accumulated list *)
+  check
+    Alcotest.(list string)
+    "proc order"
+    (List.init n (Printf.sprintf "p%02d"))
+    (List.map Symtab.entry_name procs);
+  (* forcing again must not duplicate *)
+  Symtab.force_all st;
+  check Alcotest.int "idempotent" n (List.length (Symtab.procs st));
+  Alcotest.(check bool) "indexed lookup" true (Symtab.proc_by_name st "p27" <> None)
 
 (* --- compressed tables ----------------------------------------------------------- *)
 
