@@ -106,24 +106,123 @@ let store_float m loc ~size v =
 
 (* --- the wire ----------------------------------------------------------- *)
 
+module Proto = Ldb_nub.Proto
+
+(** The stop-epoch read cache under a wire memory: {!Proto.max_block}-byte
+    aligned blocks of target memory, keyed by space and block number,
+    valid only while the target cannot change.  The transport owns it and
+    empties it ({!invalidate}) on every request other than a fetch, so no
+    caller ever invalidates anything. *)
+type blocks = {
+  mutable bl_table : (int * string option) list;
+      (** the blocks read since the last invalidation; [None]: the nub
+          could not read that block whole (a fault).  A stop touches a
+          handful of blocks — context, stack, code — so a list is index
+          enough, and an emptied cache holds nothing. *)
+  mutable bl_first : (char * int * int * string) option;
+      (** the first fetch since the last invalidation — space, offset,
+          size and answer; it crossed the wire as a plain [Fetch] *)
+  mutable bl_absent : bool;  (** this connection's nub does not know [Fetch_block] *)
+}
+
+let blocks () = { bl_table = []; bl_first = None; bl_absent = false }
+
+let invalidate b =
+  b.bl_table <- [];
+  b.bl_first <- None
+
+(** What a wire memory needs to serve fetches from a block cache: the
+    target (its byte order and FP-save quirk turn raw bytes into protocol
+    values) and whether the link is up. *)
+type cache = { target : Ldb_machine.Target.t; blocks : blocks; live : unit -> bool }
+
+let plain_fetch rpc ~space ~offset ~size =
+  match rpc (Proto.Fetch { space; addr = offset; size }) with
+  | Proto.Fetched bytes -> bytes
+  | Proto.Nub_error m -> fail "wire fetch %c:%#x: %s" space offset m
+  | _ -> fail "wire fetch %c:%#x: protocol confusion" space offset
+
+(** Block [n] of [space]: from the cache, or read whole from the nub. *)
+let block rpc b space n =
+  let key = (Char.code space lsl 24) lor n in
+  (* keys are immediate ints, so physical equality is equality *)
+  match List.assq key b.bl_table with
+  | r -> r
+  | exception Not_found ->
+      let bsize = Proto.max_block in
+      let r =
+        match rpc (Proto.Fetch_block { space; addr = n * bsize; len = bsize }) with
+        | Proto.Block bytes when String.length bytes = bsize -> Some bytes
+        | Proto.Nub_error m when String.starts_with ~prefix:"nub: bad request" m ->
+            b.bl_absent <- true;
+            None
+        | _ -> None
+      in
+      if not b.bl_absent then b.bl_table <- (key, r) :: b.bl_table;
+      r
+
+let cached_fetch rpc target b ~space ~offset ~size =
+  match b.bl_first with
+  | None ->
+      let bytes = plain_fetch rpc ~space ~offset ~size in
+      b.bl_first <- Some (space, offset, size, bytes);
+      bytes
+  | Some (s, o, z, bytes) when s = space && o = offset && z = size -> bytes
+  | Some _ -> (
+      let bsize = Proto.max_block in
+      let first = offset / bsize and last = (offset + size - 1) / bsize in
+      let off = offset - (first * bsize) in
+      let raw =
+        match block rpc b space first with
+        | None -> None
+        | Some blk when first = last -> Some (String.sub blk off size)
+        | Some blk -> (
+            match block rpc b space last with
+            | None -> None
+            | Some blk' ->
+                Some (String.sub blk off (bsize - off) ^ String.sub blk' 0 (size - bsize + off)))
+      in
+      match raw with
+      | Some raw -> Ldb_machine.Core.Service.of_raw target ~addr:offset ~size raw
+      | None -> plain_fetch rpc ~space ~offset ~size)
+
 (** An abstract memory that forwards fetch and store requests to a nub
     through [rpc] — any transport that turns a request into a reply (the
     resilient retrying transport in ldb, or the bare framed channel of
-    {!wire}). *)
-let rpc_wire ?(name = "wire") (rpc : Ldb_nub.Proto.request -> Ldb_nub.Proto.reply) : t =
+    {!wire}).
+
+    With a [cache], 1..16-byte fetches from code and data space are
+    served from blocks filled by [Fetch_block], a fetch straddling two
+    blocks joining them.  A plain [Fetch] still goes to the nub for the
+    first fetch after each invalidation, whose answer also serves a
+    repeat of it (so a step loop, which reads only the pc, moves a word
+    per stop, not a block; DESIGN.md measures what the bytes cost a
+    server); for every fetch while the link is down (so
+    the failure is the plain fetch's); and for every fetch once the nub
+    has answered [Fetch_block] with "bad request" (a nub without the
+    extension).  A block the nub refuses for another reason (a fault) is
+    served by plain fetches, so error text does not change. *)
+let rpc_wire ?(name = "wire") ?cache (rpc : Proto.request -> Proto.reply) : t =
+  let fetch_abs =
+    match cache with
+    | None -> plain_fetch rpc
+    | Some { target; blocks = b; live } ->
+        fun ~space ~offset ~size ->
+          if (space = 'c' || space = 'd')
+             && size >= 1 && size <= Proto.max_transfer
+             && offset >= 0 && offset + size <= 0x1_0000_0000
+             && (not b.bl_absent) && live ()
+          then cached_fetch rpc target b ~space ~offset ~size
+          else plain_fetch rpc ~space ~offset ~size
+  in
   {
     name;
-    fetch_abs =
-      (fun ~space ~offset ~size ->
-        match rpc (Ldb_nub.Proto.Fetch { space; addr = offset; size }) with
-        | Ldb_nub.Proto.Fetched bytes -> bytes
-        | Ldb_nub.Proto.Nub_error m -> fail "wire fetch %c:%#x: %s" space offset m
-        | _ -> fail "wire fetch %c:%#x: protocol confusion" space offset);
+    fetch_abs;
     store_abs =
       (fun ~space ~offset ~bytes_ ->
-        match rpc (Ldb_nub.Proto.Store { space; addr = offset; bytes = bytes_ }) with
-        | Ldb_nub.Proto.Stored -> ()
-        | Ldb_nub.Proto.Nub_error m -> fail "wire store %c:%#x: %s" space offset m
+        match rpc (Proto.Store { space; addr = offset; bytes = bytes_ }) with
+        | Proto.Stored -> ()
+        | Proto.Nub_error m -> fail "wire store %c:%#x: %s" space offset m
         | _ -> fail "wire store %c:%#x: protocol confusion" space offset);
   }
 

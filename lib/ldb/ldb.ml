@@ -260,13 +260,14 @@ let connect_with_image ?deadline ?max_retries (d : t) ~(name : string)
   if not (Arch.equal image.im_symtab.Symtab.arch arch) then
     fail "symbol table is for %s but the target runs %s"
       (Arch.name image.im_symtab.Symtab.arch) (Arch.name arch);
-  let wire = A.rpc_wire (Transport.rpc tr) in
+  let tdesc = Target.of_arch arch in
+  let wire = A.rpc_wire ~cache:(Transport.read_cache tr tdesc) (Transport.rpc tr) in
   let li = Linkerif.make ~arch ~loader:image.im_loader ~wire in
   let tg =
     {
       tg_name = name;
       tg_arch = arch;
-      tg_tdesc = Target.of_arch arch;
+      tg_tdesc = tdesc;
       tg_conn = Live tr;
       tg_wire = wire;
       tg_defs = image.im_defs;

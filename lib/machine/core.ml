@@ -56,13 +56,15 @@ let fatal_signal = function
 
 (* --- the fetch/store service ------------------------------------------- *)
 
-(** The byte-access semantics shared by the live nub and dump-backed
-    memories: sizes 1/2/4/8 are fetched in the target's byte order and
-    serialized little-endian (the protocol's canonical order), 10 is the
-    raw 80-bit extended format, and other positive sizes up to 64 are raw
-    byte runs.  Includes the SIM-MIPS context quirk: the kernel saves
-    floating-point registers least-significant-word first, so 8-byte
-    accesses into the saved-FP area swap words (the paper's footnote 3). *)
+(** The byte-access semantics shared by the live nub, dump-backed
+    memories and the debugger's block cache: a fetch is a raw read of
+    target-order bytes followed by {!Service.of_raw}, which serializes
+    sizes 2/4/8 little-endian (the protocol's canonical order) and passes
+    every other size through raw — 1 trivially, 10 as the packed 80-bit
+    extended format, and other positive sizes up to 64 as byte runs.
+    Includes the SIM-MIPS context quirk: the kernel saves floating-point
+    registers least-significant-word first, so 8-byte accesses into the
+    saved-FP area swap words (the paper's footnote 3). *)
 module Service = struct
   let ctx_base = Ram.Layout.context_base
 
@@ -75,34 +77,38 @@ module Service = struct
     and hi = ctx_base + t.Target.ctx_freg_off (Target.nfregs t - 1) + 8 in
     addr >= lo && addr + 8 <= hi
 
+  let check_space space =
+    if space <> 'c' && space <> 'd' then Error (Printf.sprintf "no space %c" space) else Ok ()
+
+  (** [len] raw target-order bytes at [addr]. *)
+  let read (ram : Ram.t) ~space ~addr ~len : (string, string) result =
+    Result.bind (check_space space) (fun () ->
+        try Ok (Ram.read_string ram ~addr ~len)
+        with Ram.Fault a -> Error (Printf.sprintf "fault at %#x" a))
+
+  let rev s = String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
+
+  (** The protocol value of a [size]-byte fetch at [addr] whose raw
+      target-order bytes are [raw]: on a big-endian target, 2-, 4- and
+      8-byte values are reversed into little-endian order, an 8-byte
+      SIM-MIPS FP save slot word by word (its words were saved LSW-first,
+      so the swap happens while fetching). *)
+  let of_raw (t : Target.t) ~addr ~size (raw : string) : string =
+    match (size, Target.order t) with
+    | (2 | 4 | 8), Ldb_util.Endian.Big ->
+        if size = 8 && mips_fp_word_swap t addr then
+          rev (String.sub raw 0 4) ^ rev (String.sub raw 4 4)
+        else rev raw
+    | _ -> raw
+
   let fetch (t : Target.t) (ram : Ram.t) ~space ~addr ~size : (string, string) result =
-    if space <> 'c' && space <> 'd' then Error (Printf.sprintf "no space %c" space)
-    else
-      try
-        match size with
-        | 1 -> Ok (String.make 1 (Char.chr (Ram.get_u8 ram addr)))
-        | 2 -> Ok (Codec.u16_le (Ram.get_u16 ram addr))
-        | 4 -> Ok (Codec.int32_le (Ram.get_u32 ram addr))
-        | 8 ->
-            if mips_fp_word_swap t addr then begin
-              (* words were saved LSW-first; swap while fetching *)
-              let lo = Ram.get_u32 ram addr and hi = Ram.get_u32 ram (addr + 4) in
-              Ok (Codec.int32_le lo ^ Codec.int32_le hi)
-            end
-            else Ok (Codec.int64_le (Ram.get_u64 ram addr))
-        | 10 ->
-            (* 80-bit extended: raw packed format, SIM-68020 only *)
-            Ok (Ram.read_string ram ~addr ~len:10)
-        | sz when sz > 0 && sz <= 64 ->
-            (* raw byte run, used for string and instruction fetches *)
-            Ok (Ram.read_string ram ~addr ~len:sz)
-        | _ -> Error "bad fetch size"
-      with Ram.Fault a -> Error (Printf.sprintf "fault at %#x" a)
+    if size < 1 || size > 64 then
+      Result.bind (check_space space) (fun () -> Error "bad fetch size")
+    else Result.map (of_raw t ~addr ~size) (read ram ~space ~addr ~len:size)
 
   let store (t : Target.t) (ram : Ram.t) ~space ~addr (bytes : string) :
       (unit, string) result =
-    if space <> 'c' && space <> 'd' then Error (Printf.sprintf "no space %c" space)
-    else
+    Result.bind (check_space space) (fun () ->
       try
         (match String.length bytes with
         | 1 -> Ram.set_u8 ram addr (Char.code bytes.[0])
@@ -117,7 +123,7 @@ module Service = struct
         | 10 -> Ram.blit_in ram ~addr bytes
         | _ -> Ram.blit_in ram ~addr bytes);
         Ok ()
-      with Ram.Fault a -> Error (Printf.sprintf "fault at %#x" a)
+      with Ram.Fault a -> Error (Printf.sprintf "fault at %#x" a))
 end
 
 (* --- writer ------------------------------------------------------------ *)

@@ -465,6 +465,11 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
       match do_fetch n ~space ~addr ~size with
       | Ok bytes -> send_reply n ep (Proto.Fetched bytes)
       | Error m -> send_reply n ep (Proto.Nub_error m))
+  | Proto.Fetch_block { space; addr; len } -> (
+      (* raw target-order bytes; like a fetch, never logged in a trace *)
+      match nubbed (Core.Service.read (ram n) ~space ~addr ~len) with
+      | Ok bytes -> send_reply n ep (Proto.Block bytes)
+      | Error m -> send_reply n ep (Proto.Nub_error m))
   | Proto.Store { space; addr; bytes } -> (
       match do_store n ~space ~addr bytes with
       | Ok () ->
@@ -742,8 +747,8 @@ let replay_apply n (req : Proto.request) ~(cap : int option) : (int, string) res
         record_core n;
         Ok 1
       end
-  | Proto.Hello | Proto.Fetch _ | Proto.Detach | Proto.Dump _ | Proto.Record _
-  | Proto.Fetch_trace _ ->
+  | Proto.Hello | Proto.Fetch _ | Proto.Fetch_block _ | Proto.Detach | Proto.Dump _
+  | Proto.Record _ | Proto.Fetch_trace _ ->
       Error "replay: request is not state-changing"
 
 (** Resume execution from a mid-continue checkpoint: the restored CPU is

@@ -24,7 +24,10 @@
     breakpoint-adjacent extension is the conditional pair
     [Set_cond]/[Clear_cond]: a verified {!Bpcode} program shipped to the
     nub so a condition in a hot loop is decided target-side instead of
-    costing a round trip per trap (see {!Bpverify}). *)
+    costing a round trip per trap (see {!Bpverify}).  The one read-side
+    extension is [Fetch_block]: a 1..256-byte window of raw target-order
+    memory, the exception to the little-endian rule above, with which the
+    debugger fills a read cache valid until the target next changes. *)
 
 open Ldb_util
 
@@ -60,6 +63,13 @@ type request =
   | Fetch_trace of { offset : int }
       (** request a window of the serialized trace starting at byte
           [offset]; served in {!Trace_chunk} pieces like a core dump *)
+  | Fetch_block of { space : char; addr : int; len : int }
+      (** protocol extension: [len] (1..{!max_block}) raw bytes in the
+          {e target's} byte order, answered by {!Block}.  The debugger
+          fills its stop-epoch read cache with these and converts values
+          itself ({!Ldb_machine.Core.Service.of_raw}); a nub that predates
+          the extension answers "bad request" and the debugger falls back
+          to plain fetches. *)
 
 type stop_state =
   | St_running
@@ -84,6 +94,7 @@ type reply =
   | Trace_chunk of { total : int; offset : int; chunk : string }
       (** a window of the serialized execution trace, shaped exactly
           like {!Core_chunk} *)
+  | Block of string  (** the raw bytes a {!Fetch_block} asked for *)
 
 (* --- field limits ------------------------------------------------------ *)
 
@@ -110,6 +121,10 @@ let max_cond_prog = 1024
     {!max_core_chunk} for the same reason. *)
 let max_trace_chunk = 2048
 
+(** Bytes per {!Fetch_block}/{!Block}; also the debugger's cache block
+    size, so a block request never straddles a cache block. *)
+let max_block = 256
+
 (* --- serialization ---------------------------------------------------- *)
 
 exception Encode_error of string
@@ -125,6 +140,10 @@ let str16 s =
 let check_transfer what n =
   if n < 1 || n > max_transfer then
     raise (Encode_error (Printf.sprintf "%s size %d outside 1..%d" what n max_transfer))
+
+let check_block what n =
+  if n < 1 || n > max_block then
+    raise (Encode_error (Printf.sprintf "%s of %d bytes outside 1..%d" what n max_block))
 
 let encode_request (r : request) : string =
   match r with
@@ -153,6 +172,9 @@ let encode_request (r : request) : string =
       if spacing < 1 then raise (Encode_error "checkpoint spacing must be positive");
       "R" ^ le32 spacing
   | Fetch_trace { offset } -> "G" ^ le32 offset
+  | Fetch_block { space; addr; len } ->
+      check_block "block fetch" len;
+      Printf.sprintf "M%c" space ^ le32 addr ^ Codec.u16_le len
 
 let encode_reply (r : reply) : string =
   match r with
@@ -182,6 +204,9 @@ let encode_reply (r : reply) : string =
       if String.length chunk > max_trace_chunk then
         raise (Encode_error "trace chunk too long");
       "t" ^ le32 total ^ le32 offset ^ str16 chunk
+  | Block bytes ->
+      check_block "block" (String.length bytes);
+      "m" ^ Codec.u16_le (String.length bytes) ^ bytes
 
 (* --- deserialization (total) ------------------------------------------- *)
 
@@ -193,6 +218,12 @@ let chr c what = Char.chr (u8 c what)
 let str c what = str c ~limit:max_string what
 
 let run f s = Result.map_error fault_to_string (run f s)
+
+(** A u16 block length, bounded before it is trusted. *)
+let block_len c what =
+  let len = u16 c what in
+  if len < 1 || len > max_block then hardf "%s outside 1..%d" what max_block;
+  len
 
 (** Decode a complete request message.  Total: any input that is not the
     exact encoding of a request yields [Error]. *)
@@ -229,6 +260,10 @@ let decode_request : string -> (request, string) result =
           if spacing < 1 then hard "record spacing must be positive";
           Record { spacing }
       | 'G' -> Fetch_trace { offset = u32 c "trace offset" }
+      | 'M' ->
+          let space = chr c "block space" in
+          let addr = u32 c "block address" in
+          Fetch_block { space; addr; len = block_len c "block length" }
       | op -> hardf "unknown request opcode %C" op)
 
 (** Decode a complete reply message.  Total, like {!decode_request}. *)
@@ -285,6 +320,9 @@ let decode_reply : string -> (reply, string) result =
           let chunk = str c "trace chunk" in
           if String.length chunk > max_trace_chunk then hard "trace chunk exceeds limit";
           Trace_chunk { total; offset; chunk }
+      | 'm' ->
+          let len = block_len c "block length" in
+          Block (take c len "block bytes")
       | op -> hardf "unknown reply opcode %C" op)
 
 let pp_request ppf = function
@@ -301,6 +339,7 @@ let pp_request ppf = function
   | Clear_cond { addr } -> Fmt.pf ppf "ClearCond %#x" addr
   | Record { spacing } -> Fmt.pf ppf "Record/%d" spacing
   | Fetch_trace { offset } -> Fmt.pf ppf "FetchTrace@%#x" offset
+  | Fetch_block { space; addr; len } -> Fmt.pf ppf "FetchBlock %c:%#x/%d" space addr len
 
 let pp_reply ppf = function
   | Hello_reply { arch; _ } -> Fmt.pf ppf "HelloReply(%s)" arch
@@ -315,3 +354,4 @@ let pp_reply ppf = function
       Fmt.pf ppf "CondHit(sig %d, %d suppressed)" signal suppressed
   | Trace_chunk { total; offset; chunk } ->
       Fmt.pf ppf "Trace %d+%d/%d" offset (String.length chunk) total
+  | Block b -> Fmt.pf ppf "Block/%d" (String.length b)

@@ -89,6 +89,112 @@ let continue_n (s : session) n =
 
 let top (s : session) = Ldb.top_frame s.d s.tg
 
+(* --- the stop refresh an IDE does --------------------------------------------- *)
+
+(** A recursion whose bottom is hit four times at depths 3..6, for
+    {!inspect_script}.  [loc] in a [walk] frame is read again after the
+    call below it returns, so a store into it changes the output. *)
+let walk_c = {|
+int bottom(int x)
+{
+    int y;
+    y = x * 2;
+    return y;
+}
+
+int walk(int d, int acc)
+{
+    int loc;
+    loc = acc + d;
+    if (d == 0) return bottom(loc);
+    return walk(d - 1, loc) + loc;
+}
+
+int main(void)
+{
+    int i;
+    int s;
+    s = 0;
+    for (i = 0; i < 4; i++)
+        s = s + walk(3 + i, i);
+    printf("%d\n", s);
+    return 0;
+}
+|}
+
+let walk_vars = function
+  | "bottom" -> [ "x"; "y" ]
+  | "walk" -> [ "d"; "acc"; "loc" ]
+  | "main" -> [ "i"; "s" ]
+  | _ -> []
+
+(** Over a session on {!walk_c}: break at [bottom], and at every stop
+    walk the stack, print every variable of every frame and store into
+    [loc] two frames up; then run to exit.  Returns the transcript.
+    [guard] wraps each idempotent step (a retry repeats it whole) and
+    [resume] each continue, so fault tests can put recovery around
+    them. *)
+let inspect_script ?(guard = fun f -> f ()) ?resume (d : Ldb.t) (tg : Ldb.target) : string =
+  let resume = match resume with Some r -> r | None -> fun () -> ok (Ldb.continue_ d tg) in
+  let b = Buffer.create 1024 in
+  let line s = Buffer.add_string b (s ^ "\n") in
+  line (guard (fun () -> Printf.sprintf "break %#x" (Ldb.break_function d tg "bottom")));
+  let rec stops k =
+    match resume () with
+    | Ldb.Stopped _ ->
+        line
+          (guard (fun () ->
+               String.concat "\n"
+                 (List.map
+                    (fun fr ->
+                      let fn = Ldb.frame_function d tg fr in
+                      fn ^ ":"
+                      ^ String.concat ","
+                          (List.map
+                             (fun v ->
+                               v ^ "="
+                               ^
+                               try String.trim (Ldb.print_value d tg fr v)
+                               with Ldb.Error m -> "!" ^ m)
+                             (walk_vars fn)))
+                    (Ldb.backtrace d tg))));
+        line
+          (guard (fun () ->
+               let fr = List.nth (Ldb.backtrace d tg) 2 in
+               ok_unit (Ldb.assign_int d tg fr "loc" (100 + k));
+               Printf.sprintf "loc := %d" (100 + k)));
+        stops (k + 1)
+    | Ldb.Exited n -> line (Printf.sprintf "exit %d" n)
+    | _ -> line "not stopped"
+  in
+  stops 0;
+  Buffer.contents b
+
+(** Make [ep]'s nub look like one that predates [Fetch_block]: each
+    outgoing block request is resealed with an unknown opcode, so the nub
+    answers "bad request" and the debugger falls back to plain fetches
+    for the rest of the connection.  Runs before any hook [ep] already
+    has (a fault injector).  Returns the count of rewritten requests. *)
+let without_block_fetch (ep : Ldb_nub.Chan.endpoint) : int ref =
+  let rewritten = ref 0 in
+  let forward =
+    match ep.Ldb_nub.Chan.on_send with
+    | Some hook -> hook
+    | None -> Ldb_nub.Chan.deliver ep
+  in
+  Ldb_nub.Chan.set_on_send ep
+    (Some
+       (fun s ->
+         let h = Ldb_util.Codec.Framing.header_len in
+         if String.length s > h && s.[h] = 'M' then begin
+           incr rewritten;
+           forward
+             (Ldb_nub.Frame.seal ~seq:(Ldb_util.Codec.get_u32 s 2)
+                ("Z" ^ String.sub s (h + 1) (String.length s - h - 1)))
+         end
+         else forward s));
+  rewritten
+
 let arch_testable = Alcotest.testable Arch.pp Arch.equal
 
 (** qcheck: arbitrary abstract instruction (well-formed for [arch]). *)

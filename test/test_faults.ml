@@ -38,17 +38,23 @@ let outcome_testable : outcome Alcotest.testable =
 
 let max_reattaches = 10
 
-(** Run the canonical session over target [p]/[tg].  Transport
-    disconnects are recovered by reattaching to the surviving nub over a
-    fresh (clean) channel; any other [Transport.Error] propagates to the
-    caller, which decides whether that counts as failure. *)
-let run_scenario (d : Ldb.t) (p : Host.process) (tg : Ldb.target) : outcome =
+(** How a session rides out a dead link: [guard] retries an idempotent
+    operation across reattaches, [resume] continues exactly once. *)
+type recovery = { guard : 'a. (unit -> 'a) -> 'a; resume : unit -> Ldb.state }
+
+(** Transport disconnects are recovered by reattaching to the surviving
+    nub over a fresh (clean) channel — one hiding [Fetch_block] when
+    [plain]; any other [Transport.Error] propagates to the caller, which
+    decides whether that counts as failure. *)
+let recovery ?(plain = false) (d : Ldb.t) (p : Host.process) (tg : Ldb.target) : recovery =
   let reattaches = ref 0 in
   let reattach () =
     incr reattaches;
     if !reattaches > max_reattaches then
       Alcotest.failf "gave up after %d reattaches" max_reattaches;
-    ignore (Host.reattach d tg p : Ldb.state)
+    let ep = Host.open_channel p in
+    if plain then ignore (Testkit.without_block_fetch ep : int ref);
+    ignore (Ldb.reattach d tg ep : Ldb.state)
   in
   (* retry an idempotent operation across disconnects *)
   let rec guard : 'a. (unit -> 'a) -> 'a =
@@ -74,6 +80,11 @@ let run_scenario (d : Ldb.t) (p : Host.process) (tg : Ldb.target) : outcome =
       | Ldb.Stopped _ when pc_of tg.Ldb.tg_state <> before -> tg.Ldb.tg_state
       | _ -> resume ())
   in
+  { guard; resume }
+
+(** Run the canonical session over target [p]/[tg]. *)
+let run_scenario ?plain (d : Ldb.t) (p : Host.process) (tg : Ldb.target) : outcome =
+  let { guard; resume } = recovery ?plain d p tg in
   ignore (guard (fun () -> Ldb.break_function d tg "fib") : int);
   (match resume () with
   | Ldb.Stopped _ -> ()
@@ -95,17 +106,24 @@ let clean_outcome ~arch : outcome =
   let s = Testkit.debug_session ~arch sources in
   run_scenario s.Testkit.d s.Testkit.proc s.Testkit.tg
 
-(** A session whose link starts injecting faults once connected. *)
-let faulty_outcome ~arch ~seed (prof : Faultchan.profile) : outcome * Faultchan.t =
+(** Run [script] over a fresh process of [sources] whose link starts
+    injecting faults once connected; [plain] hides [Fetch_block] from
+    the debugger, so every read is a plain fetch. *)
+let faulty_run ?(plain = false) ~arch ~seed ~sources (prof : Faultchan.profile)
+    (script : Ldb.t -> Host.process -> Ldb.target -> 'a) : 'a * Faultchan.t =
   let d = Ldb.create () in
   let p = Host.launch ~paused:true ~arch sources in
   (* connect over quiet weather, then arm the injector: connection setup
      failures are just Transport errors with nothing to reattach *)
   let chan, fc = Host.open_faulty_channel ~armed:false p ~seed prof in
+  if plain then ignore (Testkit.without_block_fetch chan : int ref);
   let tg = Ldb.connect d ~name:(Arch.name arch) ~loader_ps:p.Host.hp_loader_ps chan in
   Faultchan.set_armed fc true;
-  let oc = run_scenario d p tg in
-  (oc, fc)
+  (script d p tg, fc)
+
+(** A session whose link starts injecting faults once connected. *)
+let faulty_outcome ?plain ~arch ~seed (prof : Faultchan.profile) : outcome * Faultchan.t =
+  faulty_run ?plain ~arch ~seed ~sources prof (run_scenario ?plain)
 
 (* --- the matrix ------------------------------------------------------------- *)
 
@@ -152,6 +170,42 @@ let test_mixed_storm () =
       check outcome_testable (Arch.name arch ^ "/storm outcome") clean faulty;
       if Faultchan.injected fc = 0 then
         Alcotest.failf "%s/storm: the injector never fired" (Arch.name arch))
+    Arch.all
+
+(* --- the read cache changes no answer ------------------------------------------ *)
+
+(** The storm and an IDE-style stop refresh ({!Testkit.inspect_script}),
+    each with the read cache on and forced off (a nub hiding
+    [Fetch_block]): clean and faulty transcripts are byte-identical. *)
+let test_cache_on_off () =
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let storm = Faultchan.profile ~rate:0.15 ~max_faults:6 ~stall_ticks:4 () in
+      let seed = 2000 + seed_of arch Faultchan.Drop in
+      let inspect ~plain prof =
+        faulty_run ~plain ~arch ~seed ~sources:[ ("walk.c", Testkit.walk_c) ] prof
+          (fun d p tg ->
+            let { guard; resume } = recovery ~plain d p tg in
+            Testkit.inspect_script ~guard ~resume d tg ^ Host.output p)
+      in
+      let clean = clean_outcome ~arch in
+      let want, _ = inspect ~plain:false (Faultchan.profile ~rate:0. ()) in
+      List.iter
+        (fun (plain, (weather, prof)) ->
+          let name what =
+            Printf.sprintf "%s/%s, %s, cache %s" an what weather (if plain then "off" else "on")
+          in
+          let fib, fc = faulty_outcome ~plain ~arch ~seed prof in
+          check outcome_testable (name "fib") clean fib;
+          let transcript, fc' = inspect ~plain prof in
+          check Alcotest.string (name "inspect") want transcript;
+          if prof.Faultchan.fp_rate > 0. && (Faultchan.injected fc = 0 || Faultchan.injected fc' = 0)
+          then Alcotest.failf "%s: the injector never fired" (name "both"))
+        (List.concat_map
+           (fun plain ->
+             [ (plain, ("clean", Faultchan.profile ~rate:0. ())); (plain, ("storm", storm)) ])
+           [ false; true ]))
     Arch.all
 
 (* --- explicit disconnect → reattach → resync -------------------------------- *)
@@ -327,6 +381,7 @@ let () =
             case (Faultchan.kind_name kind ^ " on all targets") (test_fault_kind kind))
           Faultchan.all_kinds );
       ("storm", [ case "all fault classes at once" test_mixed_storm ]);
+      ("read cache", [ case "cache on = cache off, clean and under a storm" test_cache_on_off ]);
       ( "reattach",
         [ case "disconnect, reattach, resync" test_disconnect_reattach_resync;
           case "detach then reattach" test_detach_then_reattach ] );

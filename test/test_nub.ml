@@ -93,7 +93,9 @@ let test_request_roundtrips () =
       Proto.Set_cond { addr = 0; prog = String.make Proto.max_cond_prog 'q' };
       Proto.Clear_cond { addr = 0x1000 };
       Proto.Record { spacing = 1 }; Proto.Record { spacing = 100_000 };
-      Proto.Fetch_trace { offset = 0 }; Proto.Fetch_trace { offset = 0xabcdef } ]
+      Proto.Fetch_trace { offset = 0 }; Proto.Fetch_trace { offset = 0xabcdef };
+      Proto.Fetch_block { space = 'd'; addr = 0x3fff00; len = Proto.max_block };
+      Proto.Fetch_block { space = 'c'; addr = 0; len = 1 } ]
 
 let test_reply_roundtrips () =
   List.iter
@@ -113,7 +115,9 @@ let test_reply_roundtrips () =
       Proto.Trace_chunk { total = 0; offset = 0; chunk = "" };
       Proto.Trace_chunk
         { total = 5000; offset = 2048; chunk = String.make Proto.max_trace_chunk 't' };
-      Proto.Nub_error "no such space" ]
+      Proto.Nub_error "no such space";
+      Proto.Block "\x00";
+      Proto.Block (String.init Proto.max_block (fun i -> Char.chr (i land 0xff))) ]
 
 (** Out-of-range size fields are rejected with [Error], not served. *)
 let test_decode_rejects_bad_sizes () =
@@ -133,6 +137,32 @@ let test_decode_rejects_bad_sizes () =
   match Proto.decode_request "Z" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown opcode accepted"
+
+(** Block lengths outside 1..{!Proto.max_block} are refused by the
+    encoder and by both decoders. *)
+let test_block_lengths_bounded () =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)) in
+  let u16 v = String.sub (u32 v) 0 2 in
+  let request len = "Md" ^ u32 0x2000 ^ u16 len in
+  let reply len = "m" ^ u16 len ^ String.make (max 0 len) 'b' in
+  (match (Proto.decode_request (request 256), Proto.decode_reply (reply 256)) with
+  | Ok (Proto.Fetch_block { len = 256; _ }), Ok (Proto.Block b) when String.length b = 256 -> ()
+  | _ -> Alcotest.fail "well-formed 256-byte block should decode");
+  List.iter
+    (fun len ->
+      (match Proto.decode_request (request len) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "block request of %d bytes accepted" len);
+      (match Proto.decode_reply (reply len) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "block reply of %d bytes accepted" len);
+      (match Proto.encode_request (Proto.Fetch_block { space = 'd'; addr = 0; len }) with
+      | exception Proto.Encode_error _ -> ()
+      | _ -> Alcotest.failf "block request of %d bytes encoded" len);
+      match Proto.encode_reply (Proto.Block (String.make len 'b')) with
+      | exception Proto.Encode_error _ -> ()
+      | _ -> Alcotest.failf "block reply of %d bytes encoded" len)
+    [ 0; Proto.max_block + 1 ]
 
 (** A [Set_cond] whose length field promises nothing (0) or more than
     {!Proto.max_cond_prog} is malformed at the protocol layer: it never
@@ -171,7 +201,10 @@ let gen_request : Proto.request QCheck.arbitrary =
         QCheck.(pair (int_bound 0xffffff)
                   (string_gen_of_size (QCheck.Gen.int_range 1 Proto.max_cond_prog)
                      QCheck.Gen.char));
-      QCheck.map (fun addr -> Proto.Clear_cond { addr }) QCheck.(int_bound 0xffffff) ]
+      QCheck.map (fun addr -> Proto.Clear_cond { addr }) QCheck.(int_bound 0xffffff);
+      QCheck.map
+        (fun (addr, len) -> Proto.Fetch_block { space = 'd'; addr; len })
+        QCheck.(pair (int_bound 0xffffff) (int_range 1 Proto.max_block)) ]
 
 let prop_request_roundtrip =
   Testkit.qtest "random requests roundtrip" ~count:500 gen_request roundtrip_request
@@ -194,7 +227,9 @@ let gen_full_range : (Proto.request * Proto.reply) QCheck.arbitrary =
           u32 (string_size ~gen:char (int_range 1 Proto.max_cond_prog));
         map (fun addr -> Proto.Clear_cond { addr }) u32;
         map (fun spacing -> Proto.Record { spacing }) (int_range 1 0xffff_ffff);
-        map (fun offset -> Proto.Fetch_trace { offset }) u32 ]
+        map (fun offset -> Proto.Fetch_trace { offset }) u32;
+        map3 (fun addr len c -> Proto.Fetch_block { space = c; addr; len })
+          u32 (int_range 1 Proto.max_block) (oneofl [ 'c'; 'd' ]) ]
   in
   let reply =
     oneof
@@ -213,7 +248,8 @@ let gen_full_range : (Proto.request * Proto.reply) QCheck.arbitrary =
           u32 u32 (str Proto.max_trace_chunk);
         map2 (fun (signal, code) (ctx_addr, suppressed) ->
             Proto.Cond_hit { signal; code; ctx_addr; suppressed })
-          (pair u32 u32) (pair u32 u32) ]
+          (pair u32 u32) (pair u32 u32);
+        map (fun b -> Proto.Block b) (string_size ~gen:char (int_range 1 Proto.max_block)) ]
   in
   QCheck.make
     ~print:(fun (q, r) -> Fmt.str "%a / %a" Proto.pp_request q Proto.pp_reply r)
@@ -223,10 +259,16 @@ let prop_full_range_roundtrip =
   Testkit.qtest "full-range fields and negative statuses roundtrip" ~count:500
     gen_full_range (fun (q, r) -> roundtrip_request q && roundtrip_reply r)
 
-(** Totality: the decoders return [Error] on junk, they never raise. *)
+(** Totality: the decoders return [Error] on junk, they never raise —
+    junk behind a block opcode included. *)
 let prop_decode_never_raises =
   Testkit.qtest "decoders never raise on arbitrary bytes" ~count:1000
-    QCheck.(string_gen QCheck.Gen.char)
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(
+          oneof
+            [ string ~gen:char;
+              map2 ( ^ ) (oneofl [ "M"; "Mc"; "m" ]) (string ~gen:char) ]))
     (fun s ->
       (match Proto.decode_request s with Ok _ | Error _ -> true)
       && (match Proto.decode_reply s with Ok _ | Error _ -> true))
@@ -240,6 +282,19 @@ let prop_truncation_detected =
       let ok = ref true in
       for n = 0 to String.length enc - 1 do
         (match Proto.decode_request (String.sub enc 0 n) with
+        | Error _ -> ()
+        | Ok _ -> ok := false)
+      done;
+      !ok)
+
+(** The same for replies, and over full-range fields. *)
+let prop_reply_truncation_detected =
+  Testkit.qtest "every strict prefix of a reply decodes to Error" ~count:300 gen_full_range
+    (fun (_, r) ->
+      let enc = Proto.encode_reply r in
+      let ok = ref true in
+      for n = 0 to String.length enc - 1 do
+        (match Proto.decode_reply (String.sub enc 0 n) with
         | Error _ -> ()
         | Ok _ -> ok := false)
       done;
@@ -376,6 +431,28 @@ let test_fetch_little_endian_wire () =
             (Arch.name arch ^ " wire value is little-endian")
             "\x44\x33\x22\x11" bytes
       | _ -> Alcotest.fail "bad reply")
+    Arch.all
+
+(** Blocks are the exception: raw bytes in the target's own order, for
+    the debugger to convert; a block past the end of memory is refused. *)
+let test_fetch_block_raw () =
+  List.iter
+    (fun arch ->
+      let proc, _, dbg = stopped_nub arch in
+      Ram.set_u32 proc.Proc.ram 0x2000 0x11223344l;
+      let want =
+        match Arch.endian arch with
+        | Ldb_util.Endian.Big -> "\x11\x22\x33\x44"
+        | Ldb_util.Endian.Little -> "\x44\x33\x22\x11"
+      in
+      (match rpc dbg (Proto.Fetch_block { space = 'd'; addr = 0x2000; len = 4 }) with
+      | Proto.Block bytes -> check Alcotest.string (Arch.name arch ^ " raw block") want bytes
+      | r -> Alcotest.failf "bad reply %s" (Fmt.str "%a" Proto.pp_reply r));
+      let past = Ram.Layout.size - 0x80 in
+      match rpc dbg (Proto.Fetch_block { space = 'd'; addr = past; len = Proto.max_block }) with
+      | Proto.Nub_error m ->
+          check Alcotest.string "fault" (Printf.sprintf "nub: fault at %#x" past) m
+      | r -> Alcotest.failf "block past the end: %s" (Fmt.str "%a" Proto.pp_reply r))
     Arch.all
 
 let test_store_roundtrip_all_archs () =
@@ -607,7 +684,9 @@ let () =
         [ case "requests" test_request_roundtrips; case "replies" test_reply_roundtrips;
           case "bad sizes rejected" test_decode_rejects_bad_sizes;
           case "bad condition lengths rejected" test_decode_rejects_bad_cond_lengths;
-          prop_request_roundtrip; prop_full_range_roundtrip; prop_decode_never_raises; prop_truncation_detected ] );
+          case "block lengths bounded" test_block_lengths_bounded;
+          prop_request_roundtrip; prop_full_range_roundtrip; prop_decode_never_raises;
+          prop_truncation_detected; prop_reply_truncation_detected ] );
       ( "frames",
         [ case "roundtrip" test_frame_roundtrip;
           case "corruption detected" test_frame_detects_corruption;
@@ -617,6 +696,7 @@ let () =
       ( "service",
         [ case "hello" test_hello;
           case "fetch is little-endian on the wire" test_fetch_little_endian_wire;
+          case "block fetch is raw target order" test_fetch_block_raw;
           case "store on all targets" test_store_roundtrip_all_archs;
           case "bad space" test_bad_space_error;
           case "duplicate request not re-executed" test_duplicate_request_not_reexecuted;

@@ -187,7 +187,9 @@ let test_backpressure () =
   | Error (Server.Overloaded _) -> ()
   | Ok _ -> Alcotest.fail "admission over the cap succeeded"
   | Error r -> Alcotest.failf "wrong refusal: %s" (Server.refusal_to_string r));
-  (* per-tick RPC budget: room for the setup, then drive reads into the cap *)
+  (* per-tick RPC budget: room for the setup, then drive source steps into
+     the cap — each step runs the target, so it crosses the wire every
+     time, where a repeated read is answered by the stop's read cache *)
   let sv =
     Server.create
       ~limits:{ Server.default_limits with Server.li_max_rpcs_per_tick = 40 }
@@ -200,8 +202,8 @@ let test_backpressure () =
   let rec drive n =
     if n > 50 then Alcotest.fail "budget never engaged"
     else
-      match Server.exec sv id (Server.Read_int "n") with
-      | Ok (Server.R_int 10) -> drive (n + 1)
+      match Server.exec sv id Server.Step_source with
+      | Ok (Server.R_state (Ldb.Stopped _)) -> drive (n + 1)
       | Error (Server.Overloaded _) -> ()
       | r ->
           Alcotest.failf "unexpected: %s"

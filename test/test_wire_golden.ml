@@ -66,6 +66,10 @@ let encodings : (string * (unit -> string)) list =
         hex (Proto.encode_request (Proto.Fetch { space = 'd'; addr = 0x80000010; size = 4 })));
     ("proto store", fun () ->
         hex (Proto.encode_request (Proto.Store { space = 'c'; addr = 0x1000; bytes = "\xde\xad" })));
+    ("proto fetch_block", fun () ->
+        hex (Proto.encode_request
+               (Proto.Fetch_block { space = 'd'; addr = 0x80000100; len = Proto.max_block })));
+    ("proto block reply", fun () -> hex (Proto.encode_reply (Proto.Block (payload 16))));
     ("proto set_cond", fun () ->
         hex (Proto.encode_request (Proto.Set_cond { addr = 0x1040; prog = Bpcode.encode bpcode })));
     ("proto hello reply", fun () ->
@@ -114,6 +118,10 @@ let golden : (string * string) list =
      "46641000008004");
     ("proto store",
      "53630010000002dead");
+    ("proto fetch_block",
+     "4d64000100800001");
+    ("proto block reply",
+     "6d1000030a11181f262d343b424950575e656c");
     ("proto set_cond",
      "42401000002000000050fbffffff72036d6404016100630201217a02006efdff6a00007850ffffff7f");
     ("proto hello reply",
